@@ -917,10 +917,21 @@ bool all_satisfied(const std::vector<std::vector<MatchHit>>& per_capability) {
     return true;
 }
 
+/// Delay for a reply whose service time `compute_ms` began at `started`:
+/// it is due at started + compute_ms on the transport's clock. Virtual time
+/// stands still inside a handler, so the simulator charges exactly
+/// compute_ms; on the real clock the compute has already elapsed and the
+/// reply is due at once.
+SimTime reply_delay(const Transport& transport, SimTime started,
+                    double compute_ms) {
+    const SimTime elapsed = transport.now() - started;
+    return compute_ms > elapsed ? compute_ms - elapsed : 0;
+}
+
 }  // namespace
 
 std::vector<NodeId> DiscoveryNetwork::forward_targets(
-    NodeId self, const std::string& request_xml) {
+    NodeId self, const std::string& document) {
     std::vector<NodeId> targets;
     NodeState& state = *nodes_[self];
     if (config_.protocol == Protocol::kAriadne) {
@@ -930,16 +941,15 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
         return targets;
     }
     if (config_.summary_backend == summary::SummaryBackend::kInterval) {
+        if (state.peer_exact_summaries.empty()) return targets;
         // Exact routing: forward only to peers whose interval summary
         // proves some cached capability could subsume every required
         // output/property concept. Build the probe once per request;
         // covers() is a bitmap intersection per peer.
         summary::RequestProbe probe;
         try {
-            const desc::ServiceRequest request =
-                desc::parse_request(request_xml);
-            const auto resolved = desc::resolve_request(request, *kb_);
-            probe = summary::build_request_probe(resolved, *kb_);
+            probe = summary::build_request_probe(
+                prepared_request(document).resolved, *kb_);
         } catch (const Error&) {
             return targets;  // unresolvable request: nothing to forward
         }
@@ -967,14 +977,13 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
         std::sort(targets.begin(), targets.end());
         return targets;
     }
-    // S-Ariadne: only peers whose Bloom summary covers the request's
+    // Bloom routing: only peers whose summary covers the request's
     // ontology URIs.
+    if (state.peer_summaries.empty()) return targets;
     std::vector<std::string> uris;
     try {
-        const desc::ServiceRequest request = desc::parse_request(request_xml);
-        const auto resolved = desc::resolve_request(request, *kb_);
         FlatSet<onto::OntologyIndex> all;
-        for (const auto& cap : resolved) {
+        for (const auto& cap : prepared_request(document).resolved) {
             all = all.united_with(cap.ontologies);
         }
         for (const onto::OntologyIndex index : all) {
@@ -1035,8 +1044,8 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
     PendingRequest pending;
     pending.request_id = request.request_id;
     pending.client = request.client;
-    pending.request_xml = request.document;
 
+    const SimTime started = transport_->now();
     double compute_ms = 0;
     // The request document is peer input: a malformed one is answered
     // unsatisfied (and counted) instead of unwinding the event loop, so a
@@ -1064,9 +1073,11 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
 
     const std::uint64_t id = request.request_id;
     if (pending.local_satisfied) {
-        // Answer after the (virtual) service time equal to the real compute.
+        // Answer at handler start + the real compute on the transport's
+        // clock.
         state.pending.emplace(id, std::move(pending));
-        transport_->schedule(compute_ms, [this, self, id] {
+        const SimTime delay = reply_delay(*transport_, started, compute_ms);
+        transport_->schedule(delay, [this, self, id] {
             auto& stored = nodes_[self]->pending;
             const auto it = stored.find(id);
             if (it == stored.end()) return;
@@ -1079,9 +1090,11 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
     const auto targets = forward_targets(self, request.document);
     pending.outstanding = targets.size();
     pending.directories_asked = static_cast<std::uint32_t>(targets.size());
+    if (!targets.empty()) pending.request_xml = request.document;
     state.pending.emplace(id, std::move(pending));
 
-    transport_->schedule(compute_ms, [this, self, id, targets] {
+    const SimTime delay = reply_delay(*transport_, started, compute_ms);
+    transport_->schedule(delay, [this, self, id, targets] {
         auto& stored = nodes_[self]->pending;
         const auto it = stored.find(id);
         if (it == stored.end()) return;
@@ -1108,6 +1121,7 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Message& msg) {
     QueryHits reply;
     reply.request_id = forward.request_id;
     reply.compute_ms = 0;
+    const SimTime started = transport_->now();
     if (state.is_directory) {
         // Forwarded documents come from a peer directory but are still
         // client-authored: contain malformed ones as an empty reply so the
@@ -1123,14 +1137,14 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Message& msg) {
             metrics_.malformed_requests->inc();
         }
     }
-    const double compute = reply.compute_ms;
+    const SimTime delay = reply_delay(*transport_, started, reply.compute_ms);
     const NodeId origin = forward.origin;
     std::uint32_t hit_count = 0;
     for (const auto& hits : reply.per_capability) {
         hit_count += static_cast<std::uint32_t>(hits.size());
     }
-    transport_->schedule(compute, [this, self, origin, reply = std::move(reply),
-                             hit_count] {
+    transport_->schedule(delay, [this, self, origin, reply = std::move(reply),
+                                 hit_count] {
         Message resp;
         resp.type = "fwd-resp";
         resp.size_bytes = 16 + hit_count * kHitWireBytes;

@@ -276,7 +276,7 @@ private:
     struct PendingRequest {
         std::uint64_t request_id = 0;
         net::NodeId client = net::kNoNode;
-        std::string request_xml;
+        std::string request_xml;  ///< filled only when the request is forwarded
         std::vector<directory::MatchHit> hits;
         bool local_satisfied = false;
         std::size_t outstanding = 0;
@@ -320,8 +320,12 @@ private:
     void handle_forward(net::NodeId self, const net::Message& msg);
     void handle_forward_reply(net::NodeId self, const net::Message& msg);
     void finish_request(net::NodeId directory_node, PendingRequest& pending);
+    /// Peer directories an unsatisfied request goes to; none while the node
+    /// holds no peer summary of the configured backend. S-Ariadne routes on
+    /// the prepared_request memo entry local_query just filled for
+    /// `document`, so the document is not parsed a second time.
     std::vector<net::NodeId> forward_targets(net::NodeId self,
-                                             const std::string& request_xml);
+                                             const std::string& document);
     /// Runs the local query of one directory (semantic or syntactic);
     /// returns per-capability hits and fills `compute_ms` with the real
     /// time spent. The semantic branch replays the memoized parse+resolve

@@ -25,7 +25,14 @@
 //                 event time on the simulator, steady-clock real time on
 //                 the socket loop. schedule() fires on that same clock,
 //                 never before its delay has elapsed, and never
-//                 concurrently with a delivery.
+//                 concurrently with a delivery. A handler's reply is due
+//                 at handler start + its service time on this clock, so
+//                 the protocol schedules only the part not yet elapsed:
+//                 all of it on the simulator, whose clock stands still
+//                 inside a handler; none of it on the socket loop, whose
+//                 clock already ran through the measured compute. A
+//                 delay of 0 fires before the reactor next sleeps, so
+//                 the reply leaves in the step that computed it.
 //   Backpressure— send paths never block the reactor. The simulator's
 //                 queue is unbounded (virtual time is free); the socket
 //                 transport bounds each connection's write queue and

@@ -326,30 +326,32 @@ void EventLoopTransport::deliver_inbound(NodeId from, Message msg) {
 void EventLoopTransport::read_ready(NodeId slot) {
     Connection& conn = conns_[slot];
     while (conn.live()) {
-        const std::size_t old_size = conn.read_buf.size();
-        conn.read_buf.resize(old_size + kReadChunkBytes);
+        // Receive into retained storage; it grows (zero-filled once) only
+        // when less than a chunk of room is left past the received bytes.
+        if (conn.read_buf.size() - conn.read_end < kReadChunkBytes) {
+            conn.read_buf.resize(conn.read_end + kReadChunkBytes);
+        }
+        const std::size_t room = conn.read_buf.size() - conn.read_end;
         const ssize_t got =
-            ::recv(conn.fd, conn.read_buf.data() + old_size, kReadChunkBytes, 0);
+            ::recv(conn.fd, conn.read_buf.data() + conn.read_end, room, 0);
         if (got < 0) {
-            conn.read_buf.resize(old_size);
             if (errno == EAGAIN || errno == EWOULDBLOCK) break;
             if (errno == EINTR) continue;
             close_connection(slot);
             return;
         }
         if (got == 0) {  // orderly peer close
-            conn.read_buf.resize(old_size);
             close_connection(slot);
             return;
         }
-        conn.read_buf.resize(old_size + static_cast<std::size_t>(got));
+        conn.read_end += static_cast<std::size_t>(got);
         if (metrics_.bytes_received) {
             metrics_.bytes_received->inc(static_cast<std::uint64_t>(got));
         }
         stats_.bytes_transmitted += static_cast<std::uint64_t>(got);
 
         // Extract every complete frame in the buffer.
-        while (conn.read_buf.size() - conn.read_pos >= kFramePrefixBytes) {
+        while (conn.read_end - conn.read_pos >= kFramePrefixBytes) {
             const std::uint32_t frame_len =
                 read_le32(conn.read_buf.data() + conn.read_pos);
             if (frame_len > config_.max_frame_bytes) {
@@ -357,7 +359,7 @@ void EventLoopTransport::read_ready(NodeId slot) {
                 close_connection(slot);
                 return;
             }
-            if (conn.read_buf.size() - conn.read_pos <
+            if (conn.read_end - conn.read_pos <
                 kFramePrefixBytes + frame_len) {
                 break;  // partial frame; wait for more bytes
             }
@@ -376,12 +378,13 @@ void EventLoopTransport::read_ready(NodeId slot) {
         }
         // Compact the consumed prefix once per read burst.
         if (conn.read_pos > 0) {
-            conn.read_buf.erase(conn.read_buf.begin(),
-                                conn.read_buf.begin() +
-                                    static_cast<std::ptrdiff_t>(conn.read_pos));
+            std::memmove(conn.read_buf.data(),
+                         conn.read_buf.data() + conn.read_pos,
+                         conn.read_end - conn.read_pos);
+            conn.read_end -= conn.read_pos;
             conn.read_pos = 0;
         }
-        if (static_cast<std::size_t>(got) < kReadChunkBytes) break;
+        if (static_cast<std::size_t>(got) < room) break;
     }
 }
 
@@ -412,8 +415,8 @@ void EventLoopTransport::accept_ready() {
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         Connection& conn = conns_[slot];
         conn.fd = fd;
-        conn.read_buf.clear();
         conn.read_pos = 0;
+        conn.read_end = 0;
         conn.write_queue.clear();
         conn.write_off = 0;
         conn.queued_bytes = 0;
@@ -435,8 +438,8 @@ void EventLoopTransport::close_connection(NodeId slot) {
         metrics_.write_queue_bytes->sub(
             static_cast<std::int64_t>(conn.queued_bytes));
     }
-    conn.read_buf.clear();
     conn.read_pos = 0;
+    conn.read_end = 0;
     conn.write_queue.clear();
     conn.write_off = 0;
     conn.queued_bytes = 0;
@@ -499,12 +502,12 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
     }
     if (wait_ms < 0) wait_ms = 0;
 
-    std::vector<pollfd> fds;
-    fds.reserve(conns_.size() + 2);
+    std::vector<pollfd>& fds = poll_fds_;
+    fds.clear();
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    std::vector<NodeId> fd_slots;
-    fd_slots.reserve(conns_.size());
+    std::vector<NodeId>& fd_slots = poll_slots_;
+    fd_slots.clear();
     for (NodeId slot = 1; slot < conns_.size(); ++slot) {
         Connection& conn = conns_[slot];
         if (!conn.live()) continue;

@@ -26,6 +26,11 @@
 // transport.backpressure_drops) instead of growing the queue — the
 // reactor never blocks on a stalled peer.
 //
+// Timers: schedule() runs on the steady clock. A timer already due when a
+// delivery schedules it (delay 0, as every protocol reply on this clock)
+// fires in the same step, after the reads and before the opportunistic
+// flush, so the frame it sends goes out without another ppoll.
+//
 // Threading: run_for()/run_until_stopped() drive everything — accepts,
 // reads, decode, delivery, timers — on the calling thread, satisfying the
 // Transport contract's single-threaded reactor model. The only
@@ -34,6 +39,8 @@
 // async-signal-safe stop_fd() (a signal handler writes one byte to it —
 // the SIGTERM drain path of sariadne_daemon).
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -122,8 +129,11 @@ public:
 private:
     struct Connection {
         int fd = -1;
+        /// Retained receive storage: bytes [read_pos, read_end) are
+        /// received but not yet framed; recv() writes past read_end.
         std::vector<std::uint8_t> read_buf;
         std::size_t read_pos = 0;  ///< consumed prefix of read_buf
+        std::size_t read_end = 0;  ///< received prefix of read_buf
         std::deque<std::vector<std::uint8_t>> write_queue;
         std::size_t write_off = 0;  ///< sent prefix of write_queue.front()
         std::size_t queued_bytes = 0;
@@ -184,6 +194,10 @@ private:
     std::uint64_t next_timer_seq_ = 0;
     std::uint64_t next_wire_seq_ = 0;
     std::vector<Message> local_;  ///< loopback deliveries to node 0
+    /// step()'s poll set and the connection slot behind each entry past
+    /// the wake pipe and listener; cleared and refilled every iteration.
+    std::vector<pollfd> poll_fds_;
+    std::vector<NodeId> poll_slots_;
     bool stop_requested_ = false;
     TrafficStats stats_;
     Metrics metrics_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <any>
+#include <functional>
+#include <memory>
+
+#include "ariadne/messages.hpp"
 #include "ariadne/protocol.hpp"
 #include "net/sim_transport.hpp"
 #include "bloom/bloom_filter.hpp"
@@ -13,6 +18,7 @@ namespace {
 
 namespace th = sariadne::testing;
 using net::NodeId;
+using net::SimTime;
 using net::Topology;
 
 encoding::KnowledgeBase make_kb() {
@@ -317,6 +323,169 @@ TEST(Protocol, ResponseTimeIncludesDirectoryCompute) {
     ASSERT_TRUE(outcome.answered);
     EXPECT_GT(outcome.directory_compute_ms, 0.0);
     EXPECT_GE(outcome.response_time_ms(), outcome.directory_compute_ms);
+    // Virtual time stands still inside a handler, so the reply is charged
+    // the whole compute on top of the round trip (2 hops each way at the
+    // simulator's default 2 ms per hop).
+    const double round_trip_ms =
+        2 * sim(network).topology().path_cost(0, 4) * 2.0;
+    EXPECT_NEAR(outcome.response_time_ms(),
+                round_trip_ms + outcome.directory_compute_ms, 1e-9);
+}
+
+// --- reply delay on a moving clock -----------------------------------------
+
+/// Two-node transport whose clock advances `step_ms` on every now() call,
+/// so a handler sees time pass the way it does on a real clock. schedule()
+/// and unicast() are recorded, not run; tests deliver messages and fire
+/// timers by hand.
+class SteppingClockTransport final : public Transport {
+public:
+    struct Scheduled {
+        SimTime delay_ms;
+        std::function<void()> action;
+    };
+
+    explicit SteppingClockTransport(SimTime step_ms) : step_ms_(step_ms) {}
+
+    std::vector<Scheduled> scheduled;
+    std::vector<net::Message> sent;
+
+    void deliver(NodeId to, net::Message msg) {
+        msg.wire_seq = ++wire_seq_;
+        handler_(to, msg);
+    }
+
+    void set_delivery_handler(DeliveryHandler handler) override {
+        handler_ = std::move(handler);
+    }
+    void set_metrics(obs::MetricsRegistry*) override {}
+    void unicast(NodeId from, NodeId, net::Message msg) override {
+        msg.source = from;
+        sent.push_back(std::move(msg));
+    }
+    void broadcast(NodeId, std::uint32_t, net::Message) override {}
+    SimTime now() const override { return clock_ms_ += step_ms_; }
+    void schedule(SimTime delay_ms, std::function<void()> action) override {
+        scheduled.push_back(Scheduled{delay_ms, std::move(action)});
+    }
+    void run_for(SimTime) override {}
+    bool idle() const override { return scheduled.empty(); }
+    std::size_t node_count() const override { return 2; }
+    bool is_up(NodeId) const override { return true; }
+    std::vector<int> hop_distances(NodeId from) const override {
+        return from == 0 ? std::vector<int>{0, 1} : std::vector<int>{1, 0};
+    }
+    bool is_infrastructure(NodeId) const override { return false; }
+    std::size_t degree(NodeId) const override { return 1; }
+    const net::TrafficStats& stats() const override { return stats_; }
+
+private:
+    SimTime step_ms_;
+    mutable SimTime clock_ms_ = 0;
+    std::uint64_t wire_seq_ = 0;
+    DeliveryHandler handler_;
+    net::TrafficStats stats_;
+};
+
+/// Directory 0 holding the workstation service, over a fake clock that
+/// advances `step_ms` per reading; the set-up's timers and sends are
+/// cleared.
+struct SteppedDirectory {
+    explicit SteppedDirectory(SimTime step_ms)
+        : kb(make_kb()),
+          network(std::make_unique<SteppingClockTransport>(step_ms),
+                  fast_config(Protocol::kSAriadne), kb),
+          transport(static_cast<SteppingClockTransport&>(network.transport())) {
+        network.appoint_directory(0);
+        net::Message pub;
+        pub.type = "pub";
+        pub.source = 1;
+        pub.payload = msg::PublishDoc{
+            desc::serialize_service(th::workstation_service()), 0};
+        transport.deliver(0, std::move(pub));
+        transport.scheduled.clear();
+        transport.sent.clear();
+    }
+
+    static std::string video_request() {
+        desc::ServiceRequest request;
+        request.capabilities.push_back(th::get_video_stream());
+        return desc::serialize_request(request);
+    }
+
+    encoding::KnowledgeBase kb;
+    DiscoveryNetwork network;
+    SteppingClockTransport& transport;
+};
+
+/// One second per clock reading: far more than the microseconds a match
+/// takes, so the elapsed time always covers the compute.
+constexpr SimTime kSlowTickMs = 1000;
+
+TEST(ReplyDelay, LocalReplyIsDueAtOnceWhenComputeHasElapsed) {
+    SteppedDirectory dir(kSlowTickMs);
+    net::Message req;
+    req.type = "req";
+    req.source = 1;
+    req.payload = msg::Request{7, 1, SteppedDirectory::video_request()};
+    dir.transport.deliver(0, std::move(req));
+
+    ASSERT_EQ(dir.transport.scheduled.size(), 1u);
+    EXPECT_EQ(dir.transport.scheduled[0].delay_ms, 0.0);
+    dir.transport.scheduled[0].action();
+    ASSERT_EQ(dir.transport.sent.size(), 1u);
+    ASSERT_EQ(dir.transport.sent[0].type, "resp");
+    const auto& response =
+        std::any_cast<const msg::Response&>(dir.transport.sent[0].payload);
+    EXPECT_TRUE(response.satisfied);
+    EXPECT_GT(response.compute_ms, 0.0);
+    EXPECT_LT(response.compute_ms, kSlowTickMs);
+}
+
+TEST(ReplyDelay, ForwardReplyIsDueAtOnceWhenComputeHasElapsed) {
+    SteppedDirectory dir(kSlowTickMs);
+    net::Message fwd;
+    fwd.type = "fwd";
+    fwd.source = 1;
+    fwd.payload = msg::Forward{9, 1, SteppedDirectory::video_request()};
+    dir.transport.deliver(0, std::move(fwd));
+
+    ASSERT_EQ(dir.transport.scheduled.size(), 1u);
+    EXPECT_EQ(dir.transport.scheduled[0].delay_ms, 0.0);
+    dir.transport.scheduled[0].action();
+    ASSERT_EQ(dir.transport.sent.size(), 1u);
+    ASSERT_EQ(dir.transport.sent[0].type, "fwd-resp");
+    const auto& hits =
+        std::any_cast<const msg::QueryHits&>(dir.transport.sent[0].payload);
+    EXPECT_GT(hits.compute_ms, 0.0);
+    EXPECT_LT(hits.compute_ms, kSlowTickMs);
+}
+
+TEST(ReplyDelay, StoppedClockChargesTheWholeCompute) {
+    // A clock that never moves inside a handler (the simulator's) leaves
+    // the delay bit-for-bit equal to the measured compute.
+    SteppedDirectory dir(0);
+    net::Message req;
+    req.type = "req";
+    req.source = 1;
+    req.payload = msg::Request{7, 1, SteppedDirectory::video_request()};
+    dir.transport.deliver(0, std::move(req));
+    net::Message fwd;
+    fwd.type = "fwd";
+    fwd.source = 1;
+    fwd.payload = msg::Forward{9, 1, SteppedDirectory::video_request()};
+    dir.transport.deliver(0, std::move(fwd));
+
+    ASSERT_EQ(dir.transport.scheduled.size(), 2u);
+    for (auto& timer : dir.transport.scheduled) timer.action();
+    ASSERT_EQ(dir.transport.sent.size(), 2u);
+    const auto& response =
+        std::any_cast<const msg::Response&>(dir.transport.sent[0].payload);
+    const auto& hits =
+        std::any_cast<const msg::QueryHits&>(dir.transport.sent[1].payload);
+    EXPECT_GT(response.compute_ms, 0.0);
+    EXPECT_EQ(dir.transport.scheduled[0].delay_ms, response.compute_ms);
+    EXPECT_EQ(dir.transport.scheduled[1].delay_ms, hits.compute_ms);
 }
 
 TEST(Retry, ExhaustedRetriesAreConcludedNotLeaked) {

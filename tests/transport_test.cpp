@@ -2,10 +2,12 @@
 // net::EventLoopTransport over real loopback connections (framing across
 // partial reads, short writes of large frames, peer close, oversized and
 // malformed frame rejection, write-queue backpressure, ingress field
-// rewriting) and the SimTransport equivalence pin: DiscoveryNetwork built
+// rewriting), the SimTransport equivalence pin: DiscoveryNetwork built
 // through the topology convenience constructor must behave identically —
 // same outcomes, same TrafficStats, same sim.* counters — to one built
-// over an explicit SimTransport, since the former is sugar for the latter.
+// over an explicit SimTransport, since the former is sugar for the latter,
+// and a DiscoveryNetwork directory on the reactor answering in the step
+// that read the request.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -18,6 +20,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -137,6 +140,14 @@ public:
             return {};
         }
         return std::move(decoded).value();
+    }
+
+    /// True iff a buffered frame, new bytes or EOF are ready to read
+    /// without blocking.
+    bool readable() const {
+        if (extractable()) return true;
+        pollfd entry{fd_, POLLIN, 0};
+        return ::poll(&entry, 1, 0) > 0;
     }
 
     /// True iff the peer closed the connection (EOF) within `wait`.
@@ -538,6 +549,53 @@ TEST(SimTransportEquivalence, TransportAccessorsForwardToSimulator) {
     // The escape hatch reaches the simulator for fault/topology control.
     ariadne::sim(network).topology().set_up(3, false);
     EXPECT_FALSE(network.transport().is_up(3));
+}
+
+// --- DiscoveryNetwork on the reactor ---------------------------------------
+
+TEST(EventLoopDirectory, ReplyLeavesInTheStepThatReadTheRequest) {
+    // The reactor runs on this thread, so the test controls its steps.
+    auto kb = make_kb();
+    auto owned = std::make_unique<EventLoopTransport>(EventLoopConfig{});
+    EventLoopTransport& loop = *owned;
+    ariadne::ProtocolConfig config;
+    config.adv_period_ms = 1e9;  // no advertisement frames between replies
+    ariadne::DiscoveryNetwork network(std::move(owned), config, kb);
+    network.appoint_directory(0);
+
+    TestClient client(loop.local_port());
+    ASSERT_TRUE(client.connected());
+    ariadne::wire::WireMessage publish;
+    publish.type = ariadne::wire::MsgType::kPublish;
+    publish.payload = ariadne::wire::PublishDoc{
+        desc::serialize_service(th::workstation_service()), 1};
+    client.send_frame(publish);
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (!client.readable() &&
+           std::chrono::steady_clock::now() < deadline) {
+        loop.run_for(1);
+    }
+    ASSERT_EQ(client.read_frame().type, ariadne::wire::MsgType::kPubAck);
+
+    // The request frame and a stop byte are both pending before the next
+    // step, so run_until_stopped() runs exactly one step and then closes
+    // every connection without another: the response reaches the client
+    // only if no timer held it past that step.
+    desc::ServiceRequest request;
+    request.capabilities.push_back(th::get_video_stream());
+    ariadne::wire::WireMessage query;
+    query.type = ariadne::wire::MsgType::kRequest;
+    query.payload =
+        ariadne::wire::Request{11, 0, desc::serialize_request(request)};
+    client.send_frame(query);
+    loop.request_stop();
+    loop.run_until_stopped(0);
+
+    const auto reply = client.read_frame();
+    ASSERT_EQ(reply.type, ariadne::wire::MsgType::kResponse);
+    const auto& response = std::get<ariadne::wire::Response>(reply.payload);
+    EXPECT_EQ(response.request_id, 11u);
+    EXPECT_TRUE(response.satisfied);
 }
 
 }  // namespace
