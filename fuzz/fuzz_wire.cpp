@@ -2,8 +2,9 @@
 // deployed node would expose to the network. try_decode must map every
 // byte sequence to either a validated WireMessage or a Result error;
 // accepted messages must re-encode to a form the decoder accepts again
-// with the same type (encode∘decode closure). Any escaping exception,
-// abort, or overread under ASan is a finding.
+// with the same type (encode∘decode closure), and the byte-count pass
+// that sizes simulated traffic must equal the encoded length. Any
+// escaping exception, abort, or overread under ASan is a finding.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -11,31 +12,17 @@
 #include <vector>
 
 #include "ariadne/wire.hpp"
-#include "ariadne/wire_bridge.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
     namespace wire = sariadne::ariadne::wire;
-    namespace bridge = sariadne::ariadne::wirebridge;
 
     const auto decoded = wire::try_decode(std::span(data, size));
     if (decoded.ok()) {
         const std::vector<std::uint8_t> bytes = wire::encode(decoded.value());
+        if (wire::encoded_size(decoded.value()) != bytes.size()) std::abort();
         const auto again = wire::try_decode(bytes);
         if (!again.ok() || again.value().type != decoded.value().type) {
-            std::abort();
-        }
-    }
-
-    // The bridge layer lifts the same bytes into a protocol net::Message;
-    // anything the frame codec accepts the bridge must either accept and
-    // re-encode losslessly (type-stable) or reject as a Result error.
-    const auto message = bridge::try_decode_message(std::span(data, size));
-    if (message.ok()) {
-        const auto bytes = bridge::encode_message(message.value());
-        if (!bytes.ok()) std::abort();
-        const auto again = bridge::try_decode_message(bytes.value());
-        if (!again.ok() || again.value().type != message.value().type) {
             std::abort();
         }
     }

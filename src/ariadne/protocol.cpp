@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <map>
 #include <unordered_set>
+#include <utility>
 
-#include "ariadne/messages.hpp"
+#include "ariadne/wire.hpp"
 #include "description/amigos_io.hpp"
 #include "description/resolved.hpp"
 #include "directory/state_transfer.hpp"
@@ -24,25 +26,26 @@ using net::Message;
 using net::NodeId;
 using net::SimTime;
 
-// Payloads moved to ariadne/messages.hpp (shared with the wire bridge and
-// the socket transport); keep the short names the protocol body uses.
-using msg::DirAdv;
-using msg::ElectCall;
-using msg::ElectCandidate;
-using msg::Forward;
-using msg::Handover;
-using msg::PubAck;
-using msg::PublishBatch;
-using msg::PublishDoc;
-using msg::PubNack;
-using msg::QueryHits;
-using msg::Request;
-using msg::Response;
-using msg::SummaryPush;
+using wire::DirAdv;
+using wire::ElectAppoint;
+using wire::ElectCall;
+using wire::ElectCandidate;
+using wire::Forward;
+using wire::ForwardResponse;
+using wire::Handover;
+using wire::MsgType;
+using wire::PubAck;
+using wire::PublishBatch;
+using wire::PublishDoc;
+using wire::PubNack;
+using wire::Request;
+using wire::Response;
+using wire::SummaryBitmap;
+using wire::SummaryDelta;
+using wire::SummaryPull;
+using wire::SummaryPush;
 
 namespace {
-
-constexpr std::uint32_t kHitWireBytes = 64;
 
 /// Receiver-side dedup window: remembered wire sequence ids per node. A
 /// few thousand entries cover every in-flight message many times over;
@@ -75,7 +78,16 @@ struct DiscoveryNetwork::NodeState {
     bool summary_pushed_once = false;
     std::size_t publishes_since_push = 0;
 
+    /// Requests this directory is answering, by directory-assigned id, and
+    /// that id for each (client, client's request id).
     std::unordered_map<std::uint64_t, PendingRequest> pending;
+    std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> pending_ids;
+
+    void forget_pending(
+        std::unordered_map<std::uint64_t, PendingRequest>::iterator it) {
+        pending_ids.erase({it->second.client, it->second.request_id});
+        pending.erase(it);
+    }
 
     std::vector<std::string> deferred_publishes;
     std::vector<std::pair<std::uint64_t, std::string>> deferred_requests;
@@ -252,11 +264,8 @@ void DiscoveryNetwork::node_start_election(NodeId node) {
         state.candidates.push_back(ElectCandidate{node, fitness(node)});
     }
 
-    Message call;
-    call.type = "elect-call";
-    call.payload = ElectCall{node};
-    call.size_bytes = 16;
-    transport_->broadcast(node, config_.election_ttl, std::move(call));
+    transport_->broadcast(node, config_.election_ttl,
+                          net::make_message(ElectCall{node}));
 
     transport_->schedule(config_.election_wait_ms,
                    [this, node] { close_election(node); });
@@ -279,10 +288,7 @@ void DiscoveryNetwork::close_election(NodeId initiator) {
     if (best->candidate == initiator) {
         become_directory(initiator);
     } else {
-        Message appoint;
-        appoint.type = "elect-appoint";
-        appoint.size_bytes = 8;
-        transport_->unicast(initiator, best->candidate, std::move(appoint));
+        send(initiator, best->candidate, ElectAppoint{});
     }
 }
 
@@ -315,11 +321,7 @@ void DiscoveryNetwork::resign_directory(NodeId node) {
     NodeId successor = directory_for(node);
     if (successor != kNoNode) {
         if (metrics_.handovers) metrics_.handovers->inc();
-        Message msg;
-        msg.type = "handover";
-        msg.size_bytes = static_cast<std::uint32_t>(exported.size());
-        msg.payload = Handover{std::move(exported)};
-        transport_->unicast(node, successor, std::move(msg));
+        send(node, successor, Handover{std::move(exported)});
         return;
     }
     // Last directory standing: elect a successor, hand over when its
@@ -354,10 +356,7 @@ void DiscoveryNetwork::become_directory(NodeId node) {
         for (const NodeId peer : directories()) {
             if (peer == node) continue;
             if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-            Message pull;
-            pull.type = "summary-pull";
-            pull.size_bytes = 8;
-            transport_->unicast(node, peer, std::move(pull));
+            send(node, peer, SummaryPull{});
         }
     }
 }
@@ -366,11 +365,8 @@ void DiscoveryNetwork::directory_advertise(NodeId node) {
     NodeState& state = *nodes_[node];
     if (!state.is_directory) return;
     if (transport_->is_up(node)) {
-        Message adv;
-        adv.type = "dir-adv";
-        adv.payload = DirAdv{node};
-        adv.size_bytes = 16;
-        transport_->broadcast(node, config_.vicinity_hops, std::move(adv));
+        transport_->broadcast(node, config_.vicinity_hops,
+                              net::make_message(DirAdv{node}));
         state.last_adv = transport_->now();  // a directory never elects
     }
     transport_->schedule(config_.adv_period_ms,
@@ -392,11 +388,7 @@ void DiscoveryNetwork::push_summary(NodeId directory_node) {
             metrics_.summary_bytes_sent->inc(
                 static_cast<std::uint64_t>(wire.size() * 8));
         }
-        Message push;
-        push.type = "summary-push";
-        push.payload = SummaryPush{directory_node, wire};
-        push.size_bytes = static_cast<std::uint32_t>(wire.size() * 8);
-        transport_->unicast(directory_node, peer, std::move(push));
+        send(directory_node, peer, SummaryPush{directory_node, wire});
     }
     state.publishes_since_push = 0;
 }
@@ -441,15 +433,11 @@ void DiscoveryNetwork::push_exact_summary(NodeId directory_node) {
         if (is_delta && metrics_.summary_delta_pushes) {
             metrics_.summary_delta_pushes->inc();
         }
-        Message push;
-        push.type = is_delta ? "summary-delta" : "summary-bitmap";
-        push.size_bytes = static_cast<std::uint32_t>(8 + image.size());
         if (is_delta) {
-            push.payload = msg::SummaryDelta{directory_node, image};
+            send(directory_node, peer, SummaryDelta{directory_node, image});
         } else {
-            push.payload = msg::SummaryBitmap{directory_node, image};
+            send(directory_node, peer, SummaryBitmap{directory_node, image});
         }
-        transport_->unicast(directory_node, peer, std::move(push));
     }
     state.last_pushed_summary = std::move(current);
     state.summary_pushed_once = true;
@@ -515,11 +503,7 @@ std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
         if (metrics_.deferred_publishes) metrics_.deferred_publishes->add(1);
         return 0;
     }
-    Message pub;
-    pub.type = "pub";
-    pub.size_bytes = static_cast<std::uint32_t>(document_xml.size());
-    pub.payload = PublishDoc{std::move(document_xml), 0};
-    transport_->unicast(provider, target, std::move(pub));
+    send(provider, target, PublishDoc{std::move(document_xml), 0});
     return 0;
 }
 
@@ -554,18 +538,12 @@ std::uint64_t DiscoveryNetwork::publish_batch(
         }
         return 0;
     }
-    msg::PublishBatch batch;
-    std::size_t bytes = 0;
+    PublishBatch batch;
     batch.docs.reserve(documents.size());
     for (auto& doc : documents) {
-        bytes += doc.size();
         batch.docs.push_back(PublishDoc{std::move(doc), 0});
     }
-    Message pub;
-    pub.type = "pub-batch";
-    pub.size_bytes = static_cast<std::uint32_t>(bytes);
-    pub.payload = std::move(batch);
-    transport_->unicast(provider, target, std::move(pub));
+    send(provider, target, std::move(batch));
     return 0;
 }
 
@@ -608,12 +586,7 @@ void DiscoveryNetwork::send_publish(NodeId provider, std::uint64_t pub_id) {
     }
     outstanding.awaiting_ack = target != kNoNode;
     if (target != kNoNode) {
-        Message pub;
-        pub.type = "pub";
-        pub.size_bytes =
-            static_cast<std::uint32_t>(outstanding.document.size());
-        pub.payload = PublishDoc{outstanding.document, pub_id};
-        transport_->unicast(provider, target, std::move(pub));
+        send(provider, target, PublishDoc{outstanding.document, pub_id});
     }
     // Arm the timeout either way: with no reachable directory it acts as a
     // deferral poll that retries routing without consuming the budget.
@@ -664,19 +637,14 @@ void DiscoveryNetwork::check_publish_timeout(NodeId provider,
 
 void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
     NodeState& state = *nodes_[self];
-    const auto& doc = std::any_cast<const PublishDoc&>(msg.payload);
+    const auto& doc = std::get<PublishDoc>(msg.body.payload);
     if (!state.is_directory) {
         // Stale routing — this node lost (or never had) the directory
         // role. Bounce the document back so the provider re-routes
         // immediately instead of losing the service until the next
         // republish period.
         if (metrics_.publish_nacks) metrics_.publish_nacks->inc();
-        Message nack;
-        nack.type = "pub-nack";
-        nack.size_bytes =
-            16 + static_cast<std::uint32_t>(doc.document.size());
-        nack.payload = PubNack{doc.pub_id, doc.document};
-        transport_->unicast(self, msg.source, std::move(nack));
+        send(self, msg.source, PubNack{doc.pub_id, doc.document});
         return;
     }
     if (state.semdir != nullptr) {
@@ -725,37 +693,21 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
             return;
         }
     }
-    if (doc.pub_id != 0) {
-        Message ack;
-        ack.type = "pub-ack";
-        ack.size_bytes = 16;
-        ack.payload = PubAck{doc.pub_id};
-        transport_->unicast(self, msg.source, std::move(ack));
-    }
+    if (doc.pub_id != 0) send(self, msg.source, PubAck{doc.pub_id});
 }
 
 void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
     NodeState& state = *nodes_[self];
-    const auto& batch = std::any_cast<const PublishBatch&>(msg.payload);
+    const auto& batch = std::get<PublishBatch>(msg.body.payload);
     const auto ack_doc = [&](std::uint64_t pub_id) {
-        if (pub_id == 0) return;
-        Message ack;
-        ack.type = "pub-ack";
-        ack.size_bytes = 16;
-        ack.payload = PubAck{pub_id};
-        transport_->unicast(self, msg.source, std::move(ack));
+        if (pub_id != 0) send(self, msg.source, PubAck{pub_id});
     };
     if (!state.is_directory) {
         // Stale routing: bounce every member back individually so each
         // provider-side retry keeps its own pub_id accounting.
         for (const PublishDoc& doc : batch.docs) {
             if (metrics_.publish_nacks) metrics_.publish_nacks->inc();
-            Message nack;
-            nack.type = "pub-nack";
-            nack.size_bytes =
-                16 + static_cast<std::uint32_t>(doc.document.size());
-            nack.payload = PubNack{doc.pub_id, doc.document};
-            transport_->unicast(self, msg.source, std::move(nack));
+            send(self, msg.source, PubNack{doc.pub_id, doc.document});
         }
         return;
     }
@@ -870,11 +822,7 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
         if (metrics_.deferred_requests) metrics_.deferred_requests->add(1);
         return id;
     }
-    Message req;
-    req.type = "req";
-    req.size_bytes = static_cast<std::uint32_t>(request_xml.size());
-    req.payload = Request{id, client, std::move(request_xml)};
-    transport_->unicast(client, target, std::move(req));
+    send(client, target, Request{id, client, std::move(request_xml)});
     return id;
 }
 
@@ -1030,20 +978,16 @@ const DiscoveryNetwork::PreparedRequest& DiscoveryNetwork::prepared_request(
 
 void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
     NodeState& state = *nodes_[self];
-    const auto& request = std::any_cast<const Request&>(msg.payload);
+    const auto& request = std::get<Request>(msg.body.payload);
     if (!state.is_directory) {
         // Stale routing: answer unsatisfied so the client is not left hanging.
-        Message resp;
-        resp.type = "resp";
-        resp.payload = Response{request.request_id, {}, false, 0.0, 0};
-        resp.size_bytes = 16;
-        transport_->unicast(self, request.client, std::move(resp));
+        send(self, msg.source, Response{request.request_id, {}, false, 0.0, 0});
         return;
     }
 
     PendingRequest pending;
     pending.request_id = request.request_id;
-    pending.client = request.client;
+    pending.client = msg.source;
 
     const SimTime started = transport_->now();
     double compute_ms = 0;
@@ -1057,11 +1001,7 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
         });
     if (!queried) {
         if (metrics_.malformed_requests) metrics_.malformed_requests->inc();
-        Message resp;
-        resp.type = "resp";
-        resp.payload = Response{request.request_id, {}, false, 0.0, 0};
-        resp.size_bytes = 16;
-        transport_->unicast(self, request.client, std::move(resp));
+        send(self, msg.source, Response{request.request_id, {}, false, 0.0, 0});
         return;
     }
     auto per_capability = std::move(queried).value();
@@ -1071,18 +1011,25 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
         pending.hits.insert(pending.hits.end(), hits.begin(), hits.end());
     }
 
-    const std::uint64_t id = request.request_id;
+    // Keyed by an id this directory assigns: clients pick their request ids
+    // independently, so two of them may well send the same one. A
+    // retransmission (same client, same id) joins the entry still pending
+    // for it, and the emplaces below keep that entry.
+    const auto [slot, fresh] = state.pending_ids.try_emplace(
+        {msg.source, request.request_id}, next_pending_id_);
+    if (fresh) ++next_pending_id_;
+    const std::uint64_t id = slot->second;
     if (pending.local_satisfied) {
         // Answer at handler start + the real compute on the transport's
         // clock.
         state.pending.emplace(id, std::move(pending));
         const SimTime delay = reply_delay(*transport_, started, compute_ms);
         transport_->schedule(delay, [this, self, id] {
-            auto& stored = nodes_[self]->pending;
-            const auto it = stored.find(id);
-            if (it == stored.end()) return;
+            NodeState& node = *nodes_[self];
+            const auto it = node.pending.find(id);
+            if (it == node.pending.end()) return;
             finish_request(self, it->second);
-            stored.erase(it);
+            node.forget_pending(it);
         });
         return;
     }
@@ -1095,30 +1042,25 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
 
     const SimTime delay = reply_delay(*transport_, started, compute_ms);
     transport_->schedule(delay, [this, self, id, targets] {
-        auto& stored = nodes_[self]->pending;
-        const auto it = stored.find(id);
-        if (it == stored.end()) return;
+        NodeState& node = *nodes_[self];
+        const auto it = node.pending.find(id);
+        if (it == node.pending.end()) return;
         if (targets.empty()) {
             finish_request(self, it->second);
-            stored.erase(it);
+            node.forget_pending(it);
             return;
         }
         for (const NodeId target : targets) {
             if (metrics_.forwards) metrics_.forwards->inc();
-            Message fwd;
-            fwd.type = "fwd";
-            fwd.size_bytes =
-                static_cast<std::uint32_t>(it->second.request_xml.size());
-            fwd.payload = Forward{id, self, it->second.request_xml};
-            transport_->unicast(self, target, std::move(fwd));
+            send(self, target, Forward{id, self, it->second.request_xml});
         }
     });
 }
 
 void DiscoveryNetwork::handle_forward(NodeId self, const Message& msg) {
     NodeState& state = *nodes_[self];
-    const auto& forward = std::any_cast<const Forward&>(msg.payload);
-    QueryHits reply;
+    const auto& forward = std::get<Forward>(msg.body.payload);
+    ForwardResponse reply;
     reply.request_id = forward.request_id;
     reply.compute_ms = 0;
     const SimTime started = transport_->now();
@@ -1138,24 +1080,15 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Message& msg) {
         }
     }
     const SimTime delay = reply_delay(*transport_, started, reply.compute_ms);
-    const NodeId origin = forward.origin;
-    std::uint32_t hit_count = 0;
-    for (const auto& hits : reply.per_capability) {
-        hit_count += static_cast<std::uint32_t>(hits.size());
-    }
-    transport_->schedule(delay, [this, self, origin, reply = std::move(reply),
-                                 hit_count] {
-        Message resp;
-        resp.type = "fwd-resp";
-        resp.size_bytes = 16 + hit_count * kHitWireBytes;
-        resp.payload = reply;
-        transport_->unicast(self, origin, std::move(resp));
+    transport_->schedule(delay, [this, self, origin = msg.source,
+                                 reply = std::move(reply)]() mutable {
+        send(self, origin, std::move(reply));
     });
 }
 
 void DiscoveryNetwork::handle_forward_reply(NodeId self, const Message& msg) {
     NodeState& state = *nodes_[self];
-    const auto& reply = std::any_cast<const QueryHits&>(msg.payload);
+    const auto& reply = std::get<ForwardResponse>(msg.body.payload);
     const auto it = state.pending.find(reply.request_id);
 
     // False-positive accounting drives the reactive summary exchange.
@@ -1177,10 +1110,7 @@ void DiscoveryNetwork::handle_forward_reply(NodeId self, const Message& msg) {
             config_.false_positive_pull_threshold) {
             state.peer_false_positives[msg.source] = 0;
             if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-            Message pull;
-            pull.type = "summary-pull";
-            pull.size_bytes = 8;
-            transport_->unicast(self, msg.source, std::move(pull));
+            send(self, msg.source, SummaryPull{});
         }
     }
 
@@ -1193,21 +1123,16 @@ void DiscoveryNetwork::handle_forward_reply(NodeId self, const Message& msg) {
     if (pending.outstanding > 0) --pending.outstanding;
     if (pending.outstanding == 0) {
         finish_request(self, pending);
-        state.pending.erase(it);
+        state.forget_pending(it);
     }
 }
 
 void DiscoveryNetwork::finish_request(NodeId directory_node,
                                       PendingRequest& pending) {
-    Message resp;
-    resp.type = "resp";
-    resp.size_bytes =
-        16 + static_cast<std::uint32_t>(pending.hits.size()) * kHitWireBytes;
-    resp.payload =
-        Response{pending.request_id, pending.hits,
-                 pending.local_satisfied || !pending.hits.empty(),
-                 pending.compute_ms, pending.directories_asked};
-    transport_->unicast(directory_node, pending.client, std::move(resp));
+    const bool satisfied = pending.local_satisfied || !pending.hits.empty();
+    send(directory_node, pending.client,
+         Response{pending.request_id, std::move(pending.hits), satisfied,
+                  pending.compute_ms, pending.directories_asked});
 }
 
 void DiscoveryNetwork::republish(NodeId provider) {
@@ -1225,11 +1150,7 @@ void DiscoveryNetwork::republish(NodeId provider) {
     }
     if (target != kNoNode) {
         for (const std::string& doc : state.owned_services) {
-            Message pub;
-            pub.type = "pub";
-            pub.size_bytes = static_cast<std::uint32_t>(doc.size());
-            pub.payload = PublishDoc{doc};
-            transport_->unicast(provider, target, std::move(pub));
+            send(provider, target, PublishDoc{doc});
         }
     }
     transport_->schedule(config_.republish_period_ms,
@@ -1275,11 +1196,8 @@ void DiscoveryNetwork::check_request_timeout(std::uint64_t request_id) {
     --retry.retries_left;
     if (metrics_.requests_retried) metrics_.requests_retried->inc();
 
-    Message req;
-    req.type = "req";
-    req.size_bytes = static_cast<std::uint32_t>(retry.document.size());
-    req.payload = Request{request_id, retry.client, retry.document};
-    transport_->unicast(retry.client, target, std::move(req));
+    send(retry.client, target,
+         Request{request_id, retry.client, retry.document});
     transport_->schedule(config_.request_timeout_ms,
                    [this, request_id] { check_request_timeout(request_id); });
 }
@@ -1293,12 +1211,20 @@ void DiscoveryNetwork::conclude_request(std::uint64_t request_id,
     retry_state_.erase(request_id);
     // Reap directory-side bookkeeping the request may have left behind: a
     // forward sent to a peer that partitioned away never gets its reply, so
-    // the PendingRequest would otherwise sit in `pending` forever. Also
-    // purge any still-deferred copy so a late dir-adv does not flush a
-    // request nobody is waiting on.
+    // the PendingRequest would otherwise sit in `pending` forever. Entries
+    // are keyed by directory-assigned ids, so match the client's id they
+    // store. Also purge any still-deferred copy so a late dir-adv does not
+    // flush a request nobody is waiting on.
     for (const auto& node : nodes_) {
-        if (node->pending.erase(request_id) > 0 && metrics_.pending_reaped) {
-            metrics_.pending_reaped->inc();
+        std::erase_if(node->pending_ids, [request_id](const auto& entry) {
+            return entry.first.second == request_id;
+        });
+        const auto reaped = std::erase_if(
+            node->pending, [request_id](const auto& entry) {
+                return entry.second.request_id == request_id;
+            });
+        if (reaped > 0 && metrics_.pending_reaped) {
+            metrics_.pending_reaped->inc(static_cast<std::uint64_t>(reaped));
         }
         const auto deferred = std::erase_if(
             node->deferred_requests,
@@ -1343,283 +1269,245 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
         return;
     }
 
-    if (msg.type == "dir-adv") {
-        const auto& adv = std::any_cast<const DirAdv&>(msg.payload);
-        state.last_adv = transport_->now();
-        state.election_pending = false;  // suppress a pending election
-        state.known_directory = adv.directory;
-        if (!state.pending_handover.empty()) {
-            if (metrics_.handovers) metrics_.handovers->inc();
-            Message handover_msg;
-            handover_msg.type = "handover";
-            handover_msg.size_bytes =
-                static_cast<std::uint32_t>(state.pending_handover.size());
-            handover_msg.payload = Handover{std::move(state.pending_handover)};
-            state.pending_handover.clear();
-            transport_->unicast(self, adv.directory, std::move(handover_msg));
-        }
-        // Flush work deferred for lack of a directory.
-        auto publishes = std::move(state.deferred_publishes);
-        state.deferred_publishes.clear();
-        if (metrics_.deferred_publishes && !publishes.empty()) {
-            metrics_.deferred_publishes->sub(
-                static_cast<std::int64_t>(publishes.size()));
-        }
-        for (auto& doc : publishes) publish_service(self, std::move(doc));
-        auto requests = std::move(state.deferred_requests);
-        state.deferred_requests.clear();
-        if (metrics_.deferred_requests && !requests.empty()) {
-            metrics_.deferred_requests->sub(
-                static_cast<std::int64_t>(requests.size()));
-        }
-        for (auto& [id, doc] : requests) {
-            Message req;
-            req.type = "req";
-            req.size_bytes = static_cast<std::uint32_t>(doc.size());
-            req.payload = Request{id, self, std::move(doc)};
-            transport_->unicast(self, adv.directory, std::move(req));
-        }
-        return;
-    }
-    if (msg.type == "elect-call") {
-        if (state.is_directory) {
-            // A live directory answers an election call with an immediate
-            // advertisement, suppressing the election.
-            Message adv;
-            adv.type = "dir-adv";
-            adv.payload = DirAdv{self};
-            adv.size_bytes = 16;
-            transport_->broadcast(self, config_.vicinity_hops, std::move(adv));
+    // Sender identity is msg.source, stamped by the transport: node ids
+    // inside a payload are never read, since a socket peer writes them.
+    switch (msg.body.type) {
+        case MsgType::kDirAdv: {
+            state.last_adv = transport_->now();
+            state.election_pending = false;  // suppress a pending election
+            state.known_directory = msg.source;
+            if (!state.pending_handover.empty()) {
+                if (metrics_.handovers) metrics_.handovers->inc();
+                send(self, msg.source,
+                     Handover{std::move(state.pending_handover)});
+                state.pending_handover.clear();
+            }
+            // Flush work deferred for lack of a directory.
+            auto publishes = std::move(state.deferred_publishes);
+            state.deferred_publishes.clear();
+            if (metrics_.deferred_publishes && !publishes.empty()) {
+                metrics_.deferred_publishes->sub(
+                    static_cast<std::int64_t>(publishes.size()));
+            }
+            for (auto& doc : publishes) publish_service(self, std::move(doc));
+            auto requests = std::move(state.deferred_requests);
+            state.deferred_requests.clear();
+            if (metrics_.deferred_requests && !requests.empty()) {
+                metrics_.deferred_requests->sub(
+                    static_cast<std::int64_t>(requests.size()));
+            }
+            for (auto& [id, doc] : requests) {
+                send(self, msg.source, Request{id, self, std::move(doc)});
+            }
             return;
         }
-        if (state.declines_role) return;  // resigned: not a candidate
-        const auto& call = std::any_cast<const ElectCall&>(msg.payload);
-        Message cand;
-        cand.type = "elect-cand";
-        cand.payload = ElectCandidate{self, fitness(self)};
-        cand.size_bytes = 24;
-        transport_->unicast(self, call.initiator, std::move(cand));
-        return;
-    }
-    if (msg.type == "elect-cand") {
-        if (state.election_pending) {
-            state.candidates.push_back(
-                std::any_cast<const ElectCandidate&>(msg.payload));
-        }
-        return;
-    }
-    if (msg.type == "elect-appoint") {
-        become_directory(self);
-        return;
-    }
-    if (msg.type == "pub") {
-        handle_publish(self, msg);
-        return;
-    }
-    if (msg.type == "pub-batch") {
-        handle_publish_batch(self, msg);
-        return;
-    }
-    if (msg.type == "req") {
-        handle_request(self, msg);
-        return;
-    }
-    if (msg.type == "fwd") {
-        handle_forward(self, msg);
-        return;
-    }
-    if (msg.type == "fwd-resp") {
-        handle_forward_reply(self, msg);
-        return;
-    }
-    if (msg.type == "handover") {
-        if (state.semdir != nullptr) {
-            const auto& handover = std::any_cast<const Handover&>(msg.payload);
-            (void)directory::import_state(*state.semdir, handover.state_xml);
-            push_summary(self);
-        }
-        return;
-    }
-    if (msg.type == "summary-pull") {
-        if (state.semdir != nullptr) {
-            // A pull *reply* is reactive, not proactive: counting it under
-            // summary_pushes would conflate the two flows and break any
-            // comparison against the false_positive_pull_threshold policy.
-            if (metrics_.summary_pull_replies) {
-                metrics_.summary_pull_replies->inc();
-            }
-            if (config_.summary_backend ==
-                summary::SummaryBackend::kInterval) {
-                // Pull replies are always a full snapshot: the puller
-                // either has no copy yet (fresh election) or detected a
-                // version gap a delta cannot bridge.
-                auto image = summary::encode_summary(
-                    state.semdir->interval_summary());
-                if (metrics_.summary_bytes_sent) {
-                    metrics_.summary_bytes_sent->inc(
-                        static_cast<std::uint64_t>(image.size()));
-                }
-                Message push;
-                push.type = "summary-bitmap";
-                push.size_bytes =
-                    static_cast<std::uint32_t>(8 + image.size());
-                push.payload = msg::SummaryBitmap{self, std::move(image)};
-                transport_->unicast(self, msg.source, std::move(push));
+        case MsgType::kElectCall:
+            if (state.is_directory) {
+                // A live directory answers an election call with an
+                // immediate advertisement, suppressing the election.
+                transport_->broadcast(self, config_.vicinity_hops,
+                                      net::make_message(DirAdv{self}));
                 return;
             }
-            const auto wire = state.semdir->summary().serialize();
-            if (metrics_.summary_bytes_sent) {
-                metrics_.summary_bytes_sent->inc(
-                    static_cast<std::uint64_t>(wire.size() * 8));
-            }
-            Message push;
-            push.type = "summary-push";
-            push.payload = SummaryPush{self, wire};
-            push.size_bytes = static_cast<std::uint32_t>(wire.size() * 8);
-            transport_->unicast(self, msg.source, std::move(push));
-        }
-        return;
-    }
-    if (msg.type == "summary-push") {
-        const auto& push = std::any_cast<const SummaryPush&>(msg.payload);
-        // Wire data is peer-controlled: a corrupt or hostile summary must
-        // be contained here, not unwind the simulator event loop.
-        if (auto filter = bloom::BloomFilter::try_deserialize(push.wire)) {
-            state.peer_summaries.insert_or_assign(push.from,
-                                                  *std::move(filter));
-        } else if (metrics_.bloom_wire_rejected) {
-            metrics_.bloom_wire_rejected->inc();
-        }
-        return;
-    }
-    if (msg.type == "summary-bitmap") {
-        const auto& push =
-            std::any_cast<const msg::SummaryBitmap&>(msg.payload);
-        // The image is peer-controlled bytes: the bounded summary decoder
-        // either yields an invariant-checked summary or a parse error that
-        // is counted and dropped (same containment as Bloom pushes).
-        if (auto decoded = summary::try_decode_summary(push.image)) {
-            state.peer_exact_summaries.insert_or_assign(
-                push.from, std::move(decoded).value());
-        } else if (metrics_.bloom_wire_rejected) {
-            metrics_.bloom_wire_rejected->inc();
-        }
-        return;
-    }
-    if (msg.type == "summary-delta") {
-        const auto& push =
-            std::any_cast<const msg::SummaryDelta&>(msg.payload);
-        auto decoded = summary::try_decode_delta(push.image);
-        if (!decoded) {
-            if (metrics_.bloom_wire_rejected) metrics_.bloom_wire_rejected->inc();
+            if (state.declines_role) return;  // resigned: not a candidate
+            send(self, msg.source, ElectCandidate{self, fitness(self)});
             return;
-        }
-        auto held = state.peer_exact_summaries.find(push.from);
-        summary::DeltaApply applied = summary::DeltaApply::kGap;
-        if (held != state.peer_exact_summaries.end()) {
-            applied = held->second.apply_delta(decoded.value());
-        }
-        if (applied == summary::DeltaApply::kGap) {
-            // Missed the delta's base version (packet loss, late election,
-            // or no copy at all): re-pull a full snapshot. kDuplicate is
-            // the idempotent case — a re-delivered delta changes nothing.
-            if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-            Message pull;
-            pull.type = "summary-pull";
-            pull.size_bytes = 8;
-            transport_->unicast(self, msg.source, std::move(pull));
-        }
-        return;
-    }
-    if (msg.type == "pub-ack") {
-        const auto& ack = std::any_cast<const PubAck&>(msg.payload);
-        if (state.outstanding_publishes.erase(ack.pub_id) > 0) {
-            if (metrics_.publish_outstanding) metrics_.publish_outstanding->sub(1);
-            if (metrics_.publishes_acked) metrics_.publishes_acked->inc();
-        }
-        return;
-    }
-    if (msg.type == "pub-nack") {
-        const auto& nack = std::any_cast<const PubNack&>(msg.payload);
-        if (nack.pub_id != 0) {
-            // Acknowledged publish: re-route immediately without consuming
-            // a retry — the nack is routing information, not a loss.
-            if (state.outstanding_publishes.count(nack.pub_id) > 0) {
-                send_publish(self, nack.pub_id);
+        case MsgType::kElectCandidate:
+            if (state.election_pending) {
+                state.candidates.push_back(ElectCandidate{
+                    msg.source,
+                    std::get<ElectCandidate>(msg.body.payload).fitness});
             }
             return;
-        }
-        // Legacy publish: the nack carries the document; route it again
-        // (or defer it for the next dir-adv) without re-adding it to
-        // owned_services.
-        const NodeId target = directory_for(self);
-        if (target == kNoNode) {
-            state.deferred_publishes.push_back(nack.document);
-            if (metrics_.deferred_publishes) metrics_.deferred_publishes->add(1);
+        case MsgType::kElectAppoint:
+            become_directory(self);
+            return;
+        case MsgType::kPublish:
+            handle_publish(self, msg);
+            return;
+        case MsgType::kPublishBatch:
+            handle_publish_batch(self, msg);
+            return;
+        case MsgType::kRequest:
+            handle_request(self, msg);
+            return;
+        case MsgType::kForward:
+            handle_forward(self, msg);
+            return;
+        case MsgType::kForwardResponse:
+            handle_forward_reply(self, msg);
+            return;
+        case MsgType::kHandover: {
+            if (state.semdir == nullptr) return;
+            // The state document is peer input, like a published one: a
+            // malformed handover is dropped and counted, and since nothing
+            // was imported there is no summary to push.
+            const auto imported = support::catching<std::size_t>([&] {
+                return directory::import_state(
+                    *state.semdir,
+                    std::get<Handover>(msg.body.payload).state_xml);
+            });
+            if (!imported) {
+                if (metrics_.malformed_publishes) {
+                    metrics_.malformed_publishes->inc();
+                }
+                return;
+            }
+            push_summary(self);
             return;
         }
-        Message pub;
-        pub.type = "pub";
-        pub.size_bytes = static_cast<std::uint32_t>(nack.document.size());
-        pub.payload = PublishDoc{nack.document, 0};
-        transport_->unicast(self, target, std::move(pub));
-        return;
-    }
-    if (msg.type == "resp") {
-        const auto& response = std::any_cast<const Response&>(msg.payload);
-        const auto it = outcomes_.find(response.request_id);
-        if (it == outcomes_.end()) return;
-        DiscoveryOutcome& outcome = it->second;
-        // A satisfied answer is final; an unsatisfied one never downgrades
-        // a satisfied outcome obtained from an earlier attempt — and once
-        // terminal (expired or already satisfied) a straggler reply from a
-        // slow directory is ignored entirely.
-        if (outcome.terminal) return;
-        if (outcome.answered && outcome.satisfied) return;
-        if (metrics_.responses) metrics_.responses->inc();
-        outcome.answered = true;
-        outcome.satisfied = response.satisfied;
-        outcome.hits = response.hits;
-        outcome.answered_at = transport_->now();
-        outcome.directory_compute_ms = response.compute_ms;
-        outcome.directories_asked = response.directories_asked;
-        // Without a retry budget the first answer is final; with one, only
-        // a satisfying answer ends the loop (the timeout handler concludes
-        // the rest).
-        if (outcome.satisfied || config_.request_timeout_ms <= 0) {
-            conclude_request(response.request_id, outcome, /*expired=*/false);
+        case MsgType::kSummaryPull:
+            if (state.semdir != nullptr) {
+                // A pull *reply* is reactive, not proactive: counting it under
+                // summary_pushes would conflate the two flows and break any
+                // comparison against the false_positive_pull_threshold policy.
+                if (metrics_.summary_pull_replies) {
+                    metrics_.summary_pull_replies->inc();
+                }
+                if (config_.summary_backend ==
+                    summary::SummaryBackend::kInterval) {
+                    // Pull replies are always a full snapshot: the puller
+                    // either has no copy yet (fresh election) or detected a
+                    // version gap a delta cannot bridge.
+                    auto image = summary::encode_summary(
+                        state.semdir->interval_summary());
+                    if (metrics_.summary_bytes_sent) {
+                        metrics_.summary_bytes_sent->inc(
+                            static_cast<std::uint64_t>(image.size()));
+                    }
+                    send(self, msg.source,
+                         SummaryBitmap{self, std::move(image)});
+                    return;
+                }
+                auto words = state.semdir->summary().serialize();
+                if (metrics_.summary_bytes_sent) {
+                    metrics_.summary_bytes_sent->inc(
+                        static_cast<std::uint64_t>(words.size() * 8));
+                }
+                send(self, msg.source, SummaryPush{self, std::move(words)});
+            }
+            return;
+        case MsgType::kSummaryPush: {
+            const auto& push = std::get<SummaryPush>(msg.body.payload);
+            // Wire data is peer-controlled: a corrupt or hostile summary must
+            // be contained here, not unwind the simulator event loop.
+            if (auto filter =
+                    bloom::BloomFilter::try_deserialize(push.summary_wire)) {
+                state.peer_summaries.insert_or_assign(msg.source,
+                                                      *std::move(filter));
+            } else if (metrics_.bloom_wire_rejected) {
+                metrics_.bloom_wire_rejected->inc();
+            }
+            return;
         }
-        return;
+        case MsgType::kSummaryBitmap: {
+            const auto& push = std::get<SummaryBitmap>(msg.body.payload);
+            // The image is peer-controlled bytes: the bounded summary decoder
+            // either yields an invariant-checked summary or a parse error that
+            // is counted and dropped (same containment as Bloom pushes).
+            if (auto decoded = summary::try_decode_summary(push.image)) {
+                state.peer_exact_summaries.insert_or_assign(
+                    msg.source, std::move(decoded).value());
+            } else if (metrics_.bloom_wire_rejected) {
+                metrics_.bloom_wire_rejected->inc();
+            }
+            return;
+        }
+        case MsgType::kSummaryDelta: {
+            const auto& push = std::get<SummaryDelta>(msg.body.payload);
+            auto decoded = summary::try_decode_delta(push.image);
+            if (!decoded) {
+                if (metrics_.bloom_wire_rejected) {
+                    metrics_.bloom_wire_rejected->inc();
+                }
+                return;
+            }
+            auto held = state.peer_exact_summaries.find(msg.source);
+            summary::DeltaApply applied = summary::DeltaApply::kGap;
+            if (held != state.peer_exact_summaries.end()) {
+                applied = held->second.apply_delta(decoded.value());
+            }
+            if (applied == summary::DeltaApply::kGap) {
+                // Missed the delta's base version (packet loss, late election,
+                // or no copy at all): re-pull a full snapshot. kDuplicate is
+                // the idempotent case — a re-delivered delta changes nothing.
+                if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
+                send(self, msg.source, SummaryPull{});
+            }
+            return;
+        }
+        case MsgType::kPubAck: {
+            const auto& ack = std::get<PubAck>(msg.body.payload);
+            if (state.outstanding_publishes.erase(ack.pub_id) > 0) {
+                if (metrics_.publish_outstanding) {
+                    metrics_.publish_outstanding->sub(1);
+                }
+                if (metrics_.publishes_acked) metrics_.publishes_acked->inc();
+            }
+            return;
+        }
+        case MsgType::kPubNack: {
+            const auto& nack = std::get<PubNack>(msg.body.payload);
+            if (nack.pub_id != 0) {
+                // Acknowledged publish: re-route immediately without consuming
+                // a retry — the nack is routing information, not a loss.
+                if (state.outstanding_publishes.count(nack.pub_id) > 0) {
+                    send_publish(self, nack.pub_id);
+                }
+                return;
+            }
+            // Legacy publish: the nack carries the document; route it again
+            // (or defer it for the next dir-adv) without re-adding it to
+            // owned_services.
+            const NodeId target = directory_for(self);
+            if (target == kNoNode) {
+                state.deferred_publishes.push_back(nack.document);
+                if (metrics_.deferred_publishes) {
+                    metrics_.deferred_publishes->add(1);
+                }
+                return;
+            }
+            send(self, target, PublishDoc{nack.document, 0});
+            return;
+        }
+        case MsgType::kResponse: {
+            const auto& response = std::get<Response>(msg.body.payload);
+            const auto it = outcomes_.find(response.request_id);
+            if (it == outcomes_.end()) return;
+            DiscoveryOutcome& outcome = it->second;
+            // A satisfied answer is final; an unsatisfied one never downgrades
+            // a satisfied outcome obtained from an earlier attempt — and once
+            // terminal (expired or already satisfied) a straggler reply from a
+            // slow directory is ignored entirely.
+            if (outcome.terminal) return;
+            if (outcome.answered && outcome.satisfied) return;
+            if (metrics_.responses) metrics_.responses->inc();
+            outcome.answered = true;
+            outcome.satisfied = response.satisfied;
+            outcome.hits = response.hits;
+            outcome.answered_at = transport_->now();
+            outcome.directory_compute_ms = response.compute_ms;
+            outcome.directories_asked = response.directories_asked;
+            // Without a retry budget the first answer is final; with one, only
+            // a satisfying answer ends the loop (the timeout handler concludes
+            // the rest).
+            if (outcome.satisfied || config_.request_timeout_ms <= 0) {
+                conclude_request(response.request_id, outcome,
+                                 /*expired=*/false);
+            }
+            return;
+        }
     }
+}
+
+void DiscoveryNetwork::send(NodeId from, NodeId to, wire::Payload payload) {
+    transport_->unicast(from, to, net::make_message(std::move(payload)));
 }
 
 std::size_t DiscoveryNetwork::publish_backlog() const noexcept {
     std::size_t total = 0;
     for (const auto& node : nodes_) total += node->outstanding_publishes.size();
     return total;
-}
-
-void DiscoveryNetwork::inject_summary_push(net::NodeId from, net::NodeId to,
-                                           std::vector<std::uint64_t> wire) {
-    Message push;
-    push.type = "summary-push";
-    push.size_bytes = static_cast<std::uint32_t>(wire.size() * 8);
-    push.payload = SummaryPush{from, std::move(wire)};
-    transport_->unicast(from, to, std::move(push));
-}
-
-void DiscoveryNetwork::inject_summary_image(net::NodeId from, net::NodeId to,
-                                            bool delta,
-                                            std::vector<std::uint8_t> image) {
-    Message push;
-    push.type = delta ? "summary-delta" : "summary-bitmap";
-    push.size_bytes = static_cast<std::uint32_t>(8 + image.size());
-    if (delta) {
-        push.payload = msg::SummaryDelta{from, std::move(image)};
-    } else {
-        push.payload = msg::SummaryBitmap{from, std::move(image)};
-    }
-    transport_->unicast(from, to, std::move(push));
 }
 
 void DiscoveryNetwork::run_for(SimTime duration_ms) {

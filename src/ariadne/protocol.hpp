@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "ariadne/transport.hpp"
+#include "ariadne/wire.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "directory/semantic_directory.hpp"
 #include "directory/syntactic_directory.hpp"
@@ -250,19 +251,6 @@ public:
     /// budget (always zero with acks disabled).
     std::size_t publish_backlog() const noexcept;
 
-    /// Fault-injection hook: delivers a raw `summary-push` wire image from
-    /// `from` to `to` through the transport, exactly as a (possibly
-    /// hostile or corrupt) peer would. Tests use it to assert that invalid
-    /// wire data is contained instead of unwinding the event loop.
-    void inject_summary_push(net::NodeId from, net::NodeId to,
-                             std::vector<std::uint64_t> wire);
-
-    /// Exact-backend twin of inject_summary_push: delivers a raw
-    /// `summary-bitmap` (delta=false) or `summary-delta` (delta=true)
-    /// image, bypassing the directory-side encoder.
-    void inject_summary_image(net::NodeId from, net::NodeId to, bool delta,
-                              std::vector<std::uint8_t> image);
-
     /// The attached registry, nullptr when the network is uninstrumented.
     obs::MetricsRegistry* metrics() const noexcept { return metrics_.registry; }
 
@@ -273,8 +261,10 @@ public:
 private:
     struct NodeState;
 
+    /// A request a directory is answering, keyed in NodeState::pending by
+    /// an id the directory assigns (and sends in its forwards).
     struct PendingRequest {
-        std::uint64_t request_id = 0;
+        std::uint64_t request_id = 0;  ///< the client's id, for the Response
         net::NodeId client = net::kNoNode;
         std::string request_xml;  ///< filled only when the request is forwarded
         std::vector<directory::MatchHit> hits;
@@ -314,6 +304,8 @@ private:
     /// image would outweigh the snapshot.
     void push_exact_summary(net::NodeId directory);
     void handle_message(net::NodeId self, const net::Message& msg);
+    /// Unicasts `payload` as a message whose type follows from it.
+    void send(net::NodeId from, net::NodeId to, wire::Payload payload);
     void handle_publish(net::NodeId self, const net::Message& msg);
     void handle_publish_batch(net::NodeId self, const net::Message& msg);
     void handle_request(net::NodeId self, const net::Message& msg);
@@ -389,6 +381,7 @@ private:
     /// vectors/strings instead of reallocating them per message.
     directory::QueryResult local_query_scratch_;
     std::uint64_t next_request_id_ = 1;
+    std::uint64_t next_pending_id_ = 1;
     std::uint64_t next_pub_id_ = 1;
     /// Retransmit-jitter source; consulted only on acknowledged-publish
     /// paths so ack-off runs replay the pre-ack protocol exactly.

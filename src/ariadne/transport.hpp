@@ -3,14 +3,22 @@
 // interface, so the same protocol logic runs unchanged on
 //
 //   * ariadne::SimTransport        — the deterministic discrete-event
-//     simulator testbed (net/sim_transport.hpp); byte-identical to
-//     the pre-seam behaviour, all fault injection preserved, and
+//     simulator testbed (net/sim_transport.hpp), carrying each message
+//     unencoded and charging it its exact encoded size, all fault
+//     injection preserved, and
 //   * net::EventLoopTransport      — a poll-based nonblocking-socket
 //     event loop moving the same messages as wire-codec frames over real
 //     TCP connections (net/event_loop.hpp), hosting sariadne_daemon.
 //
+// A message's body is a wire::WireMessage on both (ariadne/wire.hpp).
+//
 // Contract (every implementation):
 //
+//   Identity    — the transport stamps Message::source with the sender
+//                 (the sending node; a socket peer's connection NodeId)
+//                 and never rewrites the body. The protocol replies to and
+//                 keys peer state by source alone, never by a node id a
+//                 payload carries.
 //   Threading   — single-threaded reactor. The delivery handler and every
 //                 scheduled action run on the thread that drives run_for()
 //                 / the event loop; the protocol layer therefore needs no
@@ -53,7 +61,7 @@ class Transport {
 public:
     /// Delivery callback: `self` is the node the message was addressed to
     /// (always a node hosted by this transport), `msg` carries the
-    /// protocol payload with source/wire_seq stamped by the transport.
+    /// protocol message with source/wire_seq stamped by the transport.
     using DeliveryHandler =
         std::function<void(net::NodeId self, const net::Message& msg)>;
 

@@ -2,17 +2,21 @@
 // concrete transport. These types describe *what* moves between nodes,
 // not *how*: the discrete-event simulator (net/simulator.hpp) and the
 // real socket transport (net/event_loop.hpp) both address `NodeId`s,
-// deliver `Message`s, and account traffic in a `TrafficStats`. They live
+// deliver `Message`s, and account traffic in a `TrafficStats`. A
+// Message's body is the wire codec's own WireMessage (ariadne/wire.hpp):
+// the protocol has one message vocabulary on every transport. They live
 // in src/ariadne (below src/net in the layer DAG) so the protocol layer
 // compiles against this header alone — never against a concrete
 // transport — and they stay in namespace sariadne::net because they name
 // the network-facing contract, wherever a transport implements it.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+
+#include "ariadne/wire.hpp"
 
 namespace sariadne::net {
 
@@ -24,16 +28,30 @@ inline constexpr NodeId kNoNode = 0xFFFFFFFFu;
 using SimTime = double;
 
 struct Message {
+    /// The sender, stamped by the transport on every send: the one
+    /// identity receivers reply to and key peer state by (a socket
+    /// transport stamps the connection's NodeId, whatever the body says).
     NodeId source = kNoNode;
-    std::string type;   ///< protocol dispatch tag
-    std::any payload;   ///< protocol-defined content
-    std::uint32_t size_bytes = 0;  ///< modeled wire size (traffic accounting)
+    ariadne::wire::WireMessage body;  ///< type + payload, as framed on a socket
+    /// Bytes the simulator charges per hop: SimTransport sets it to
+    /// wire::encoded_size(body). The socket transport counts the bytes it
+    /// really sends instead.
+    std::uint32_t size_bytes = 0;
     /// Per-send sequence id, assigned by the transport: every unicast or
     /// broadcast initiation gets a fresh id, and a fault-injected duplicate
     /// delivery carries the id of the send it echoes. Receivers deduplicate
     /// on it; retransmissions are distinct sends and get distinct ids.
     std::uint64_t wire_seq = 0;
 };
+
+/// A message carrying `payload`, typed by its payload alternative: the one
+/// way to build a message, so type and payload cannot disagree.
+inline Message make_message(ariadne::wire::Payload payload) {
+    Message msg;
+    msg.body.type = ariadne::wire::type_of(payload);
+    msg.body.payload = std::move(payload);
+    return msg;
+}
 
 /// Traffic counters, aggregated over the run. The simulator fills every
 /// field; the socket transport has no radio, so the link/fault series stay
@@ -49,7 +67,8 @@ struct TrafficStats {
     std::uint64_t faults_duplicated = 0; ///< deliveries echoed by the FaultPlan
     std::uint64_t faults_crashes = 0;    ///< scheduled node downs executed
     std::uint64_t faults_recoveries = 0; ///< scheduled node ups executed
-    std::map<std::string, std::uint64_t> per_type;  ///< deliveries by tag
+    /// Deliveries by wire::to_string(type).
+    std::map<std::string, std::uint64_t> per_type;
 
     /// Replay determinism check: two runs with the same seed and fault
     /// plan must produce identical traffic.

@@ -11,39 +11,143 @@ namespace sariadne::ariadne::wire {
 
 namespace {
 
-// --- encoding helpers ---------------------------------------------------
+// --- encoding --------------------------------------------------------------
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-    out.push_back(v);
-}
+/// The two sinks of the one writer: encode() appends the bytes, and
+/// encoded_size() only counts them, so a size can never disagree with the
+/// bytes it stands for.
+struct ByteSink {
+    std::vector<std::uint8_t>& out;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    void byte(std::uint8_t v) { out.push_back(v); }
+    void bytes(const void* data, std::size_t n) {
+        const auto* first = static_cast<const std::uint8_t*>(data);
+        out.insert(out.end(), first, first + n);
     }
-}
+};
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+struct CountSink {
+    std::size_t size = 0;
+
+    void byte(std::uint8_t) noexcept { ++size; }
+    void bytes(const void*, std::size_t n) noexcept { size += n; }
+};
+
+template <typename Sink>
+class Writer {
+public:
+    explicit Writer(Sink& sink) noexcept : sink_(sink) {}
+
+    void u8(std::uint8_t v) { sink_.byte(v); }
+
+    void u32(std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            sink_.byte(static_cast<std::uint8_t>(v >> (8 * i)));
+        }
     }
-}
 
-void put_double(std::vector<std::uint8_t>& out, double v) {
-    put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+    void u64(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            sink_.byte(static_cast<std::uint8_t>(v >> (8 * i)));
+        }
+    }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void put_hit(std::vector<std::uint8_t>& out, const Hit& hit) {
-    put_u32(out, hit.service);
-    put_string(out, hit.service_name);
-    put_string(out, hit.capability_name);
-    put_u32(out, static_cast<std::uint32_t>(hit.semantic_distance));
-}
+    void string(const std::string& s) {
+        u32(static_cast<std::uint32_t>(s.size()));
+        sink_.bytes(s.data(), s.size());
+    }
+
+    void image(const std::vector<std::uint8_t>& bytes) {
+        u32(static_cast<std::uint32_t>(bytes.size()));
+        sink_.bytes(bytes.data(), bytes.size());
+    }
+
+    void hits(const std::vector<Hit>& list) {
+        u32(static_cast<std::uint32_t>(list.size()));
+        for (const Hit& hit : list) {
+            u32(hit.service);
+            string(hit.service_name);
+            string(hit.capability_name);
+            u32(static_cast<std::uint32_t>(hit.semantic_distance));
+        }
+    }
+
+    void message(const WireMessage& m) {
+        SARIADNE_EXPECTS(m.type == type_of(m.payload));
+        u8(kMagic0);
+        u8(kMagic1);
+        u8(kVersion);
+        u8(static_cast<std::uint8_t>(m.type));
+        std::visit([this](const auto& payload) { fields(payload); },
+                   m.payload);
+    }
+
+private:
+    void fields(const DirAdv& p) { u32(p.directory); }
+    void fields(const ElectCall& p) { u32(p.initiator); }
+    void fields(const ElectCandidate& p) {
+        u32(p.candidate);
+        f64(p.fitness);
+    }
+    void fields(const ElectAppoint&) {}
+    void fields(const PublishDoc& p) {
+        u64(p.pub_id);
+        string(p.document);
+    }
+    void fields(const PubAck& p) { u64(p.pub_id); }
+    void fields(const PubNack& p) {
+        u64(p.pub_id);
+        string(p.document);
+    }
+    void fields(const Request& p) {
+        u64(p.request_id);
+        u32(p.client);
+        string(p.document);
+    }
+    void fields(const Response& p) {
+        u64(p.request_id);
+        hits(p.hits);
+        u8(p.satisfied ? 1 : 0);
+        f64(p.compute_ms);
+        u32(p.directories_asked);
+    }
+    void fields(const Forward& p) {
+        u64(p.request_id);
+        u32(p.origin);
+        string(p.document);
+    }
+    void fields(const ForwardResponse& p) {
+        u64(p.request_id);
+        u32(static_cast<std::uint32_t>(p.per_capability.size()));
+        for (const auto& capability_hits : p.per_capability) {
+            hits(capability_hits);
+        }
+        f64(p.compute_ms);
+    }
+    void fields(const SummaryPush& p) {
+        u32(p.from);
+        u32(static_cast<std::uint32_t>(p.summary_wire.size()));
+        for (const std::uint64_t word : p.summary_wire) u64(word);
+    }
+    void fields(const SummaryPull&) {}
+    void fields(const Handover& p) { string(p.state_xml); }
+    void fields(const PublishBatch& p) {
+        u32(static_cast<std::uint32_t>(p.docs.size()));
+        for (const PublishDoc& doc : p.docs) fields(doc);
+    }
+    void fields(const SummaryBitmap& p) {
+        u32(p.from);
+        image(p.image);
+    }
+    void fields(const SummaryDelta& p) {
+        u32(p.from);
+        image(p.image);
+    }
+
+    Sink& sink_;
+};
 
 // --- decoding helpers ---------------------------------------------------
 
@@ -190,130 +294,17 @@ ErrorInfo parse_error(std::string message) {
 
 }  // namespace
 
-const char* to_string(MsgType type) noexcept {
-    switch (type) {
-        case MsgType::kDirAdv: return "dir-adv";
-        case MsgType::kElectCall: return "elect-call";
-        case MsgType::kElectCandidate: return "elect-cand";
-        case MsgType::kElectAppoint: return "elect-appoint";
-        case MsgType::kPublish: return "pub";
-        case MsgType::kPubAck: return "pub-ack";
-        case MsgType::kPubNack: return "pub-nack";
-        case MsgType::kRequest: return "req";
-        case MsgType::kResponse: return "resp";
-        case MsgType::kForward: return "fwd";
-        case MsgType::kForwardResponse: return "fwd-resp";
-        case MsgType::kSummaryPush: return "summary-push";
-        case MsgType::kSummaryPull: return "summary-pull";
-        case MsgType::kHandover: return "handover";
-        case MsgType::kPublishBatch: return "pub-batch";
-        case MsgType::kSummaryBitmap: return "summary-bitmap";
-        case MsgType::kSummaryDelta: return "summary-delta";
-    }
-    return "unknown";
-}
-
 std::vector<std::uint8_t> encode(const WireMessage& message) {
     std::vector<std::uint8_t> out;
-    put_u8(out, kMagic0);
-    put_u8(out, kMagic1);
-    put_u8(out, kVersion);
-    put_u8(out, static_cast<std::uint8_t>(message.type));
-
-    const auto expect_type = [&](MsgType type) {
-        SARIADNE_EXPECTS(message.type == type);
-    };
-
-    std::visit(
-        [&](const auto& payload) {
-            using P = std::decay_t<decltype(payload)>;
-            if constexpr (std::is_same_v<P, DirAdv>) {
-                expect_type(MsgType::kDirAdv);
-                put_u32(out, payload.directory);
-            } else if constexpr (std::is_same_v<P, ElectCall>) {
-                expect_type(MsgType::kElectCall);
-                put_u32(out, payload.initiator);
-            } else if constexpr (std::is_same_v<P, ElectCandidate>) {
-                expect_type(MsgType::kElectCandidate);
-                put_u32(out, payload.candidate);
-                put_double(out, payload.fitness);
-            } else if constexpr (std::is_same_v<P, ElectAppoint>) {
-                expect_type(MsgType::kElectAppoint);
-            } else if constexpr (std::is_same_v<P, PublishDoc>) {
-                expect_type(MsgType::kPublish);
-                put_u64(out, payload.pub_id);
-                put_string(out, payload.document);
-            } else if constexpr (std::is_same_v<P, PubAck>) {
-                expect_type(MsgType::kPubAck);
-                put_u64(out, payload.pub_id);
-            } else if constexpr (std::is_same_v<P, PubNack>) {
-                expect_type(MsgType::kPubNack);
-                put_u64(out, payload.pub_id);
-                put_string(out, payload.document);
-            } else if constexpr (std::is_same_v<P, Request>) {
-                expect_type(MsgType::kRequest);
-                put_u64(out, payload.request_id);
-                put_u32(out, payload.client);
-                put_string(out, payload.document);
-            } else if constexpr (std::is_same_v<P, Response>) {
-                expect_type(MsgType::kResponse);
-                put_u64(out, payload.request_id);
-                put_u32(out, static_cast<std::uint32_t>(payload.hits.size()));
-                for (const Hit& hit : payload.hits) put_hit(out, hit);
-                put_u8(out, payload.satisfied ? 1 : 0);
-                put_double(out, payload.compute_ms);
-                put_u32(out, payload.directories_asked);
-            } else if constexpr (std::is_same_v<P, Forward>) {
-                expect_type(MsgType::kForward);
-                put_u64(out, payload.request_id);
-                put_u32(out, payload.origin);
-                put_string(out, payload.document);
-            } else if constexpr (std::is_same_v<P, ForwardResponse>) {
-                expect_type(MsgType::kForwardResponse);
-                put_u64(out, payload.request_id);
-                put_u32(out, static_cast<std::uint32_t>(
-                                 payload.per_capability.size()));
-                for (const auto& hits : payload.per_capability) {
-                    put_u32(out, static_cast<std::uint32_t>(hits.size()));
-                    for (const Hit& hit : hits) put_hit(out, hit);
-                }
-                put_double(out, payload.compute_ms);
-            } else if constexpr (std::is_same_v<P, SummaryPush>) {
-                expect_type(MsgType::kSummaryPush);
-                put_u32(out, payload.from);
-                put_u32(out, static_cast<std::uint32_t>(
-                                 payload.summary_wire.size()));
-                for (const std::uint64_t word : payload.summary_wire) {
-                    put_u64(out, word);
-                }
-            } else if constexpr (std::is_same_v<P, SummaryPull>) {
-                expect_type(MsgType::kSummaryPull);
-            } else if constexpr (std::is_same_v<P, Handover>) {
-                expect_type(MsgType::kHandover);
-                put_string(out, payload.state_xml);
-            } else if constexpr (std::is_same_v<P, PublishBatch>) {
-                expect_type(MsgType::kPublishBatch);
-                put_u32(out, static_cast<std::uint32_t>(payload.docs.size()));
-                for (const PublishDoc& doc : payload.docs) {
-                    put_u64(out, doc.pub_id);
-                    put_string(out, doc.document);
-                }
-            } else if constexpr (std::is_same_v<P, SummaryBitmap>) {
-                expect_type(MsgType::kSummaryBitmap);
-                put_u32(out, payload.from);
-                put_u32(out, static_cast<std::uint32_t>(payload.image.size()));
-                out.insert(out.end(), payload.image.begin(),
-                           payload.image.end());
-            } else if constexpr (std::is_same_v<P, SummaryDelta>) {
-                expect_type(MsgType::kSummaryDelta);
-                put_u32(out, payload.from);
-                put_u32(out, static_cast<std::uint32_t>(payload.image.size()));
-                out.insert(out.end(), payload.image.begin(),
-                           payload.image.end());
-            }
-        },
-        message.payload);
+    ByteSink sink{out};
+    Writer<ByteSink>(sink).message(message);
     return out;
+}
+
+std::size_t encoded_size(const WireMessage& message) {
+    CountSink sink;
+    Writer<CountSink>(sink).message(message);
+    return sink.size;
 }
 
 Result<WireMessage> try_decode(std::span<const std::uint8_t> bytes) noexcept {

@@ -1,8 +1,8 @@
-// Ariadne protocol wire codec — the byte-level externalization of every
-// message the discovery protocol exchanges (ariadne/protocol.cpp moves
-// the same payloads in-process through net::Message; this module is the
-// boundary a real deployment would ship them through, and the surface the
-// protocol fuzz target attacks).
+// Ariadne protocol wire codec — the one vocabulary of the discovery
+// protocol. Every message the protocol exchanges is a WireMessage: the
+// protocol builds these structs, net::Message carries them through any
+// transport, and the socket transport frames them with encode/try_decode
+// below (the surface the protocol fuzz target attacks).
 //
 // Format (all integers little-endian):
 //
@@ -17,12 +17,15 @@
 // (see sariadne-analyze's wire-decode rule).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
+#include "directory/types.hpp"
 #include "support/result.hpp"
 
 namespace sariadne::ariadne::wire {
@@ -31,8 +34,7 @@ inline constexpr std::uint8_t kMagic0 = 'S';
 inline constexpr std::uint8_t kMagic1 = 'A';
 inline constexpr std::uint8_t kVersion = 1;
 
-/// Wire ids of the protocol's message types (the in-process
-/// net::Message::type strings, numbered). Values are wire format —
+/// Wire ids of the protocol's message types. Values are wire format —
 /// append only, never renumber.
 enum class MsgType : std::uint8_t {
     kDirAdv = 1,           ///< "dir-adv"
@@ -54,10 +56,37 @@ enum class MsgType : std::uint8_t {
     kSummaryDelta = 17,    ///< "summary-delta"
 };
 
-/// The protocol's in-process type string for a wire id.
-const char* to_string(MsgType type) noexcept;
+/// The type name of a wire id: the key of TrafficStats::per_type and the
+/// label of `sim.deliveries{type=...}`. Inline, so the simulator library
+/// names types without linking the codec.
+constexpr const char* to_string(MsgType type) noexcept {
+    switch (type) {
+        case MsgType::kDirAdv: return "dir-adv";
+        case MsgType::kElectCall: return "elect-call";
+        case MsgType::kElectCandidate: return "elect-cand";
+        case MsgType::kElectAppoint: return "elect-appoint";
+        case MsgType::kPublish: return "pub";
+        case MsgType::kPubAck: return "pub-ack";
+        case MsgType::kPubNack: return "pub-nack";
+        case MsgType::kRequest: return "req";
+        case MsgType::kResponse: return "resp";
+        case MsgType::kForward: return "fwd";
+        case MsgType::kForwardResponse: return "fwd-resp";
+        case MsgType::kSummaryPush: return "summary-push";
+        case MsgType::kSummaryPull: return "summary-pull";
+        case MsgType::kHandover: return "handover";
+        case MsgType::kPublishBatch: return "pub-batch";
+        case MsgType::kSummaryBitmap: return "summary-bitmap";
+        case MsgType::kSummaryDelta: return "summary-delta";
+    }
+    return "unknown";
+}
 
-// --- payloads (field-for-field mirrors of protocol.cpp's) ---------------
+// --- payloads -----------------------------------------------------------
+//
+// Node-id fields (directory, initiator, candidate, client, origin, from)
+// name the sender. Receivers take sender identity from net::Message::source
+// instead, which the transport stamps, so these fields are informational.
 
 struct DirAdv {
     std::uint32_t directory = 0;
@@ -94,13 +123,9 @@ struct Request {
     std::string document;
 };
 
-/// One match hit as it travels in responses.
-struct Hit {
-    std::uint32_t service = 0;
-    std::string service_name;
-    std::string capability_name;
-    std::int32_t semantic_distance = 0;
-};
+/// One match hit as it travels in responses: the directory's own hit,
+/// field for field (semantic_distance travels as a 32-bit integer).
+using Hit = directory::MatchHit;
 
 struct Response {
     std::uint64_t request_id = 0;
@@ -163,14 +188,49 @@ using Payload =
                  SummaryPush, SummaryPull, Handover, PublishBatch,
                  SummaryBitmap, SummaryDelta>;
 
+/// Payload declares its alternatives in wire-id order: the alternative at
+/// index i is the payload of MsgType i + 1.
+template <MsgType T, typename P>
+inline constexpr bool kPayloadOf = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(T) - 1, Payload>, P>;
+static_assert(std::variant_size_v<Payload> ==
+              static_cast<std::size_t>(MsgType::kSummaryDelta));
+static_assert(
+    kPayloadOf<MsgType::kDirAdv, DirAdv> &&
+    kPayloadOf<MsgType::kElectCall, ElectCall> &&
+    kPayloadOf<MsgType::kElectCandidate, ElectCandidate> &&
+    kPayloadOf<MsgType::kElectAppoint, ElectAppoint> &&
+    kPayloadOf<MsgType::kPublish, PublishDoc> &&
+    kPayloadOf<MsgType::kPubAck, PubAck> &&
+    kPayloadOf<MsgType::kPubNack, PubNack> &&
+    kPayloadOf<MsgType::kRequest, Request> &&
+    kPayloadOf<MsgType::kResponse, Response> &&
+    kPayloadOf<MsgType::kForward, Forward> &&
+    kPayloadOf<MsgType::kForwardResponse, ForwardResponse> &&
+    kPayloadOf<MsgType::kSummaryPush, SummaryPush> &&
+    kPayloadOf<MsgType::kSummaryPull, SummaryPull> &&
+    kPayloadOf<MsgType::kHandover, Handover> &&
+    kPayloadOf<MsgType::kPublishBatch, PublishBatch> &&
+    kPayloadOf<MsgType::kSummaryBitmap, SummaryBitmap> &&
+    kPayloadOf<MsgType::kSummaryDelta, SummaryDelta>);
+
+/// The wire id of a payload, from its alternative.
+inline MsgType type_of(const Payload& payload) noexcept {
+    return static_cast<MsgType>(payload.index() + 1);
+}
+
 struct WireMessage {
     MsgType type = MsgType::kDirAdv;
     Payload payload;
 };
 
-/// Serializes a message. The payload alternative must match `type`
+/// Serializes a message. `type` must be type_of(payload)
 /// (SARIADNE_EXPECTS enforces it).
 std::vector<std::uint8_t> encode(const WireMessage& message);
+
+/// The size of encode(message) in bytes, from a counting pass of the same
+/// writer, without building the bytes.
+std::size_t encoded_size(const WireMessage& message);
 
 /// Parses one complete datagram. Never throws: malformed, truncated, or
 /// trailing-garbage input yields ErrorCode::kParse with a description of

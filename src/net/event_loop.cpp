@@ -8,14 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <any>
 #include <cerrno>
 #include <cstring>
 #include <span>
 #include <utility>
 
-#include "ariadne/messages.hpp"
-#include "ariadne/wire_bridge.hpp"
+#include "ariadne/wire.hpp"
 #include "obs/metric_names.hpp"
 #include "support/errors.hpp"
 
@@ -211,14 +209,7 @@ bool EventLoopTransport::idle() const {
 
 void EventLoopTransport::enqueue_frame(NodeId to, const Message& msg) {
     Connection& conn = conns_[to];
-    auto encoded = ariadne::wirebridge::encode_message(msg);
-    if (!encoded) {
-        // A payload/type mismatch is a programming error in the caller;
-        // surface it as a decode error rather than killing the daemon.
-        if (metrics_.decode_errors) metrics_.decode_errors->inc();
-        return;
-    }
-    const std::vector<std::uint8_t>& body = encoded.value();
+    const std::vector<std::uint8_t> body = ariadne::wire::encode(msg.body);
     if (body.size() > config_.max_frame_bytes) {
         if (metrics_.oversized_frames) metrics_.oversized_frames->inc();
         return;
@@ -304,21 +295,12 @@ void EventLoopTransport::flush_writes(NodeId slot) {
 // --- receive path ----------------------------------------------------------
 
 void EventLoopTransport::deliver_inbound(NodeId from, Message msg) {
+    // Trust boundary: the connection's identity is the sender, whatever
+    // node ids the peer wrote into the payload.
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
-    // Trust boundary: the connection's identity overrides whatever node id
-    // the peer wrote into routable payload fields.
-    if (msg.type == "req") {
-        if (auto* request = std::any_cast<ariadne::msg::Request>(&msg.payload)) {
-            request->client = from;
-        }
-    } else if (msg.type == "fwd") {
-        if (auto* fwd = std::any_cast<ariadne::msg::Forward>(&msg.payload)) {
-            fwd->origin = from;
-        }
-    }
     stats_.deliveries += 1;
-    stats_.per_type[msg.type] += 1;
+    stats_.per_type[ariadne::wire::to_string(msg.body.type)] += 1;
     if (metrics_.frames_received) metrics_.frames_received->inc();
     if (handler_) handler_(0, msg);
 }
@@ -367,13 +349,15 @@ void EventLoopTransport::read_ready(NodeId slot) {
                 conn.read_buf.data() + conn.read_pos + kFramePrefixBytes,
                 frame_len);
             conn.read_pos += kFramePrefixBytes + frame_len;
-            auto decoded = ariadne::wirebridge::try_decode_message(datagram);
+            auto decoded = ariadne::wire::try_decode(datagram);
             if (!decoded) {
                 if (metrics_.decode_errors) metrics_.decode_errors->inc();
                 close_connection(slot);
                 return;
             }
-            deliver_inbound(slot, std::move(decoded).value());
+            Message msg;
+            msg.body = std::move(decoded).value();
+            deliver_inbound(slot, std::move(msg));
             if (!conn.live()) return;  // handler may have closed us
         }
         // Compact the consumed prefix once per read burst.
@@ -479,7 +463,7 @@ void EventLoopTransport::drain_local() {
         batch.swap(local_);
         for (Message& msg : batch) {
             stats_.deliveries += 1;
-            stats_.per_type[msg.type] += 1;
+            stats_.per_type[ariadne::wire::to_string(msg.body.type)] += 1;
             if (handler_) handler_(0, msg);
         }
     }

@@ -1,6 +1,7 @@
 // EventLoopTransport — the socket implementation of the Transport seam: a
 // single-threaded poll(2) reactor moving the protocol's messages as
-// wire-codec frames (ariadne/wire_bridge.*) over nonblocking TCP.
+// wire-codec frames (ariadne/wire.hpp encode/try_decode of Message::body)
+// over nonblocking TCP.
 //
 // Node model: a star. Node 0 is the hosted node (the daemon's directory);
 // connection slots 1..max_connections are remote peers, assigned a NodeId
@@ -15,10 +16,11 @@
 // transport.decode_errors — a peer that corrupts its framing once can
 // never resynchronize, so dropping the connection is the safe move).
 //
-// Ingress trust boundary: a client-supplied `req.client` / `fwd.origin`
-// field is overwritten with the connection's NodeId, so a peer cannot
-// direct another peer's responses (or spoof a third node) regardless of
-// what it puts on the wire.
+// Ingress trust boundary: every inbound message's source is the
+// connection's NodeId. The protocol replies to and keys peer state by
+// source only, never by a node id in the payload, so a peer cannot direct
+// another peer's responses (or spoof a third node) whatever it puts on
+// the wire.
 //
 // Backpressure: writes are queued per connection and flushed as the
 // socket drains; once a connection's queue exceeds

@@ -1,11 +1,12 @@
 // SimTransport — the discrete-event simulator behind the Transport seam.
-// A thin forwarding adapter: every call maps 1:1 onto the pre-seam
-// net::Simulator API, so a DiscoveryNetwork on a SimTransport replays the
-// pre-seam protocol byte-identically (same event order, same wire_seq
-// assignment, same TrafficStats). Fault injection, mobility and topology
-// control stay available through the simulator() escape hatch — the one
-// sanctioned way for tests and benches to reach the concrete simulator
-// now that DiscoveryNetwork no longer leaks it.
+// A thin forwarding adapter: every call maps 1:1 onto the net::Simulator
+// API (same event order, same wire_seq assignment). The one thing it adds
+// is each message's size, wire::encoded_size of its body, so
+// sim.bytes_transmitted counts exact datagram bytes per hop while the
+// simulator carries the typed message unencoded. Fault injection,
+// mobility and topology control stay available through the simulator()
+// escape hatch — the one sanctioned way for tests and benches to reach
+// the concrete simulator now that DiscoveryNetwork no longer leaks it.
 #pragma once
 
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include "ariadne/protocol.hpp"
 #include "ariadne/transport.hpp"
+#include "ariadne/wire.hpp"
 #include "net/simulator.hpp"
 
 namespace sariadne::ariadne {
@@ -45,11 +47,15 @@ public:
     }
 
     void unicast(net::NodeId from, net::NodeId to, net::Message msg) override {
+        msg.size_bytes =
+            static_cast<std::uint32_t>(wire::encoded_size(msg.body));
         sim_->unicast(from, to, std::move(msg));
     }
 
     void broadcast(net::NodeId from, std::uint32_t ttl_hops,
                    net::Message msg) override {
+        msg.size_bytes =
+            static_cast<std::uint32_t>(wire::encoded_size(msg.body));
         sim_->broadcast(from, ttl_hops, std::move(msg));
     }
 

@@ -1,5 +1,8 @@
 #include "net/simulator.hpp"
 
+#include <utility>
+
+#include "ariadne/wire.hpp"
 #include "obs/metric_names.hpp"
 
 namespace sariadne::net {
@@ -58,15 +61,15 @@ void Simulator::schedule(SimTime delay_ms, std::function<void()> action) {
 
 void Simulator::deliver(NodeId to, const Message& msg) {
     if (!topology_.is_up(to)) return;  // went down while in flight
+    const char* type = ariadne::wire::to_string(msg.body.type);
     ++stats_.deliveries;
-    ++stats_.per_type[msg.type];
+    ++stats_.per_type[type];
     if (metrics_.deliveries != nullptr) {
         metrics_.deliveries->inc();
         // Per-type counters are looked up on demand: the type universe is
         // small and stable, and the lookup cost sits on the (simulated)
         // delivery path, not a real hot path.
-        metrics_.registry
-            ->counter(obs::names::sim_deliveries_by_type(msg.type))
+        metrics_.registry->counter(obs::names::sim_deliveries_by_type(type))
             .inc();
     }
     if (apps_[to] != nullptr) apps_[to]->on_message(*this, to, msg);
@@ -174,8 +177,10 @@ void Simulator::drain(SimTime until) {
     while (!events_.empty()) {
         const Event& top = events_.top();
         if (top.time > until) break;
-        // Copy out before pop: the action may schedule further events.
-        auto action = top.action;
+        // Move out before pop (the action may schedule further events):
+        // priority_queue::top() is const, and the moved-from event is
+        // popped at once.
+        auto action = std::move(const_cast<Event&>(top).action);
         now_ = top.time;
         events_.pop();
         action();
@@ -203,7 +208,7 @@ void Simulator::run(SimTime until) {
 std::size_t Simulator::step(std::size_t max_events) {
     std::size_t executed = 0;
     while (executed < max_events && !events_.empty()) {
-        auto action = events_.top().action;
+        auto action = std::move(const_cast<Event&>(events_.top()).action);
         now_ = events_.top().time;
         events_.pop();
         action();

@@ -1,8 +1,10 @@
 // Discrete-event network simulator. Single-threaded, deterministic: events
 // (message deliveries, timers) execute in virtual-time order with a
-// monotonically increasing sequence number breaking ties. Messages are
-// type-tagged std::any payloads; protocol layers (src/ariadne) register a
-// NodeApp per node and communicate exclusively through the simulator.
+// monotonically increasing sequence number breaking ties. Messages carry
+// the protocol's wire structs (ariadne/wire.hpp) unencoded, with the
+// sender's size_bytes charged per hop; protocol layers (src/ariadne)
+// register a NodeApp per node and communicate exclusively through the
+// simulator.
 //
 // Radio model: unicast between reachable nodes costs
 //   hops * per_hop_latency_ms

@@ -169,7 +169,7 @@ TEST(Churn, LastDirectoryHandoverLossIsHealedByRepublication) {
     auto dropped = std::make_shared<int>(0);
     net::FaultPlan plan;
     plan.drop = [dropped](net::NodeId, net::NodeId, const net::Message& msg) {
-        if (msg.type != "handover") return false;
+        if (msg.body.type != wire::MsgType::kHandover) return false;
         ++*dropped;
         return true;
     };

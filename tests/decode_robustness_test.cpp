@@ -170,6 +170,8 @@ std::vector<ariadne::wire::WireMessage> wire_samples() {
     batch.docs.push_back(PublishDoc{"<service name='a'/>", 43});
     batch.docs.push_back(PublishDoc{"<service name='b'/>", 0});
     samples.push_back({MsgType::kPublishBatch, batch});
+    samples.push_back({MsgType::kSummaryBitmap, SummaryBitmap{2, {1, 2, 3}}});
+    samples.push_back({MsgType::kSummaryDelta, SummaryDelta{2, {4, 5}}});
     return samples;
 }
 
@@ -193,9 +195,14 @@ TEST(DecodeRobustness, PublishBatchRoundTripKeepsPerDocIds) {
 
 TEST(DecodeRobustness, WireTruncationsAlwaysReturnErrorForEveryType) {
     // Exhaustive: every strict byte prefix of every message type decodes
-    // to a kParse error, and the untruncated bytes round-trip.
-    for (const auto& message : wire_samples()) {
+    // to a kParse error, the untruncated bytes round-trip, and the
+    // byte-count pass that sizes simulated traffic matches the encoding.
+    const auto samples = wire_samples();
+    ASSERT_EQ(samples.size(), std::variant_size_v<ariadne::wire::Payload>);
+    for (const auto& message : samples) {
         const std::vector<std::uint8_t> bytes = ariadne::wire::encode(message);
+        EXPECT_EQ(ariadne::wire::encoded_size(message), bytes.size())
+            << ariadne::wire::to_string(message.type);
         const auto full = ariadne::wire::try_decode(bytes);
         ASSERT_TRUE(full.ok()) << ariadne::wire::to_string(message.type);
         EXPECT_EQ(full.value().type, message.type);

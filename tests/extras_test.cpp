@@ -120,18 +120,14 @@ TEST(EnvironmentTag, OrderIndependentAndVersionSensitive) {
 TEST(SimulatorGuards, NegativeDelayAndBadNodesRejected) {
     net::Simulator sim(net::Topology::grid(2, 1));
     EXPECT_THROW(sim.schedule(-1.0, [] {}), ContractViolation);
-    net::Message msg;
-    msg.type = "x";
-    EXPECT_THROW(sim.unicast(0, 99, std::move(msg)), ContractViolation);
+    EXPECT_THROW(sim.unicast(0, 99, net::Message{}), ContractViolation);
 }
 
 TEST(SimulatorGuards, BroadcastFromDownNodeReachesNobody) {
     net::Topology topo = net::Topology::grid(3, 1);
     topo.set_up(0, false);
     net::Simulator sim(std::move(topo));
-    net::Message msg;
-    msg.type = "adv";
-    sim.broadcast(0, 2, std::move(msg));
+    sim.broadcast(0, 2, net::Message{});
     sim.run();
     EXPECT_EQ(sim.stats().deliveries, 0u);
 }

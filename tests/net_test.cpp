@@ -1,16 +1,19 @@
-#include <any>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ariadne/wire.hpp"
+#include "net/sim_transport.hpp"
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "support/rng.hpp"
 
 namespace sariadne::net {
 namespace {
+
+namespace wire = ariadne::wire;
 
 TEST(Topology, GridStructure) {
     const Topology topo = Topology::grid(4, 3);
@@ -58,7 +61,7 @@ class Recorder : public NodeApp {
 public:
     void on_start(Simulator&, NodeId) override {}
     void on_message(Simulator& sim, NodeId, const Message& msg) override {
-        received.emplace_back(sim.now(), msg.type);
+        received.emplace_back(sim.now(), wire::to_string(msg.body.type));
     }
     std::vector<std::pair<SimTime, std::string>> received;
 };
@@ -87,8 +90,7 @@ TEST(Simulator, UnicastLatencyScalesWithHops) {
     Simulator sim(Topology::grid(4, 1), /*per_hop_latency_ms=*/3.0);
     Recorder app;
     sim.attach(3, &app);
-    Message msg;
-    msg.type = "ping";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 3, std::move(msg));
     sim.run();
     ASSERT_EQ(app.received.size(), 1u);
@@ -103,8 +105,7 @@ TEST(Simulator, UnreachableUnicastIsDropped) {
     Simulator sim(std::move(topo));
     Recorder app;
     sim.attach(2, &app);
-    Message msg;
-    msg.type = "ping";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 2, std::move(msg));
     sim.run();
     EXPECT_TRUE(app.received.empty());
@@ -115,8 +116,7 @@ TEST(Simulator, BroadcastRespectsTtl) {
     Simulator sim(Topology::grid(5, 1), 1.0);  // 0-1-2-3-4
     std::vector<Recorder> apps(5);
     for (NodeId n = 0; n < 5; ++n) sim.attach(n, &apps[n]);
-    Message msg;
-    msg.type = "adv";
+    Message msg = make_message(wire::DirAdv{});
     sim.broadcast(0, /*ttl_hops=*/2, std::move(msg));
     sim.run();
     EXPECT_TRUE(apps[0].received.empty());  // sender excluded
@@ -132,8 +132,7 @@ TEST(Simulator, MessageToDownNodeNotDelivered) {
     Simulator sim(std::move(topo));
     Recorder app;
     sim.attach(1, &app);
-    Message msg;
-    msg.type = "ping";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.topology().set_up(1, false);  // goes down while in flight
     sim.run();
@@ -144,8 +143,7 @@ TEST(Simulator, SelfUnicastDeliversImmediately) {
     Simulator sim(Topology::grid(2, 1));
     Recorder app;
     sim.attach(0, &app);
-    Message msg;
-    msg.type = "self";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 0, std::move(msg));
     sim.run();
     ASSERT_EQ(app.received.size(), 1u);
@@ -211,24 +209,39 @@ TEST(Simulator, TrafficAccountingByType) {
     Simulator sim(Topology::grid(3, 1));
     std::vector<Recorder> apps(3);
     for (NodeId n = 0; n < 3; ++n) sim.attach(n, &apps[n]);
-    Message a;
-    a.type = "alpha";
+    Message a = make_message(wire::PubAck{});
     a.size_bytes = 100;
     sim.unicast(0, 2, std::move(a));
-    Message b;
-    b.type = "beta";
-    sim.broadcast(1, 1, std::move(b));
+    sim.broadcast(1, 1, make_message(wire::DirAdv{}));
     sim.run();
-    EXPECT_EQ(sim.stats().per_type.at("alpha"), 1u);
-    EXPECT_EQ(sim.stats().per_type.at("beta"), 2u);
+    EXPECT_EQ(sim.stats().per_type.at("pub-ack"), 1u);
+    EXPECT_EQ(sim.stats().per_type.at("dir-adv"), 2u);
     EXPECT_EQ(sim.stats().bytes_transmitted, 200u);  // 2 hops x 100 bytes
+
+    // Over a SimTransport every message is charged its exact datagram
+    // size per hop: a unicast once per hop, a broadcast once per covered
+    // node.
+    ariadne::SimTransport transport(Topology::grid(4, 1));  // 0-1-2-3
+    const Message request = make_message(wire::Request{7, 0, "<request/>"});
+    const std::uint64_t request_bytes = wire::encode(request.body).size();
+    transport.unicast(0, 3, request);
+    EXPECT_EQ(transport.stats().bytes_transmitted, 3 * request_bytes);
+    const Message adv = make_message(wire::DirAdv{1});
+    const std::uint64_t adv_bytes = wire::encode(adv.body).size();
+    transport.broadcast(1, /*ttl_hops=*/2, adv);  // covers 0, 2 and 3
+    EXPECT_EQ(transport.stats().bytes_transmitted,
+              3 * request_bytes + 3 * adv_bytes);
+    transport.run_for(100);
+    EXPECT_EQ(transport.stats().per_type.at("req"), 1u);
+    EXPECT_EQ(transport.stats().per_type.at("dir-adv"), 3u);
 }
 
 class WireRecorder : public NodeApp {
 public:
     void on_start(Simulator&, NodeId) override {}
     void on_message(Simulator& sim, NodeId, const Message& msg) override {
-        received.push_back({sim.now(), msg.type, msg.wire_seq});
+        received.push_back(
+            {sim.now(), wire::to_string(msg.body.type), msg.wire_seq});
     }
     struct Entry {
         SimTime at;
@@ -246,8 +259,7 @@ TEST(Faults, TotalLossDropsEveryDelivery) {
     plan.loss_probability = 1.0;
     sim.set_faults(std::move(plan));
     for (int i = 0; i < 5; ++i) {
-        Message msg;
-        msg.type = "ping";
+        Message msg = make_message(wire::SummaryPull{});
         sim.unicast(0, 2, std::move(msg));
     }
     sim.run();
@@ -264,8 +276,7 @@ TEST(Faults, DuplicationEchoesWithSameWireSeq) {
     FaultPlan plan;
     plan.duplication_probability = 1.0;
     sim.set_faults(std::move(plan));
-    Message msg;
-    msg.type = "ping";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.run();
     ASSERT_EQ(app.received.size(), 2u);
@@ -284,8 +295,7 @@ TEST(Faults, JitterDelaysButStillDelivers) {
     FaultPlan plan;
     plan.latency_jitter_ms = 50.0;
     sim.set_faults(std::move(plan));
-    Message msg;
-    msg.type = "ping";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.run();
     ASSERT_EQ(app.received.size(), 1u);
@@ -302,19 +312,17 @@ TEST(Faults, CrashWindowTakesNodeDownThenRecovers) {
     sim.set_faults(std::move(plan));
     sim.schedule(50, [&] {  // mid-window: receiver is down
         EXPECT_FALSE(sim.topology().is_up(1));
-        Message msg;
-        msg.type = "lost";
+        Message msg = make_message(wire::ElectCall{});
         sim.unicast(0, 1, std::move(msg));
     });
     sim.schedule(200, [&] {  // after the window: recovered
         EXPECT_TRUE(sim.topology().is_up(1));
-        Message msg;
-        msg.type = "found";
+        Message msg = make_message(wire::ElectAppoint{});
         sim.unicast(0, 1, std::move(msg));
     });
     sim.run();
     ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_EQ(app.received[0].second, "found");
+    EXPECT_EQ(app.received[0].second, "elect-appoint");
     EXPECT_EQ(sim.stats().faults_crashes, 1u);
     EXPECT_EQ(sim.stats().faults_recoveries, 1u);
 }
@@ -325,18 +333,14 @@ TEST(Faults, DropHookFiltersByPredicate) {
     sim.attach(1, &app);
     FaultPlan plan;
     plan.drop = [](NodeId, NodeId, const Message& msg) {
-        return msg.type == "blocked";
+        return msg.body.type == wire::MsgType::kPubNack;
     };
     sim.set_faults(std::move(plan));
-    Message blocked;
-    blocked.type = "blocked";
-    sim.unicast(0, 1, std::move(blocked));
-    Message allowed;
-    allowed.type = "allowed";
-    sim.unicast(0, 1, std::move(allowed));
+    sim.unicast(0, 1, make_message(wire::PubNack{}));
+    sim.unicast(0, 1, make_message(wire::PubAck{}));
     sim.run();
     ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_EQ(app.received[0].second, "allowed");
+    EXPECT_EQ(app.received[0].second, "pub-ack");
     EXPECT_EQ(sim.stats().faults_dropped, 1u);
 }
 
@@ -347,8 +351,7 @@ TEST(Faults, LoopbackBypassesFaultInjection) {
     FaultPlan plan;
     plan.loss_probability = 1.0;
     sim.set_faults(std::move(plan));
-    Message msg;
-    msg.type = "self";
+    Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 0, std::move(msg));
     sim.run();
     // A node talking to itself never crosses the radio: faults don't apply.
@@ -368,8 +371,7 @@ TEST(Faults, SameSeedReplaysIdenticalTraffic) {
         plan.latency_jitter_ms = 10.0;
         sim.set_faults(std::move(plan));
         for (int i = 0; i < 50; ++i) {
-            Message msg;
-            msg.type = "ping";
+            Message msg = make_message(wire::SummaryPull{});
             msg.size_bytes = 16;
             sim.unicast(static_cast<NodeId>(i % 4),
                         static_cast<NodeId>((i + 3) % 4), std::move(msg));
@@ -393,13 +395,11 @@ TEST(Faults, InertPlanChangesNothing) {
         for (NodeId n = 0; n < 3; ++n) sim.attach(n, &apps[n]);
         if (install_inert_plan) sim.set_faults(FaultPlan{});
         for (int i = 0; i < 20; ++i) {
-            Message msg;
-            msg.type = "ping";
+            Message msg = make_message(wire::SummaryPull{});
             msg.size_bytes = 8;
             sim.unicast(0, 2, std::move(msg));
         }
-        Message adv;
-        adv.type = "adv";
+        Message adv = make_message(wire::DirAdv{});
         sim.broadcast(1, 1, std::move(adv));
         sim.run();
         return sim.stats();

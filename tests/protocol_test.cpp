@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <functional>
 #include <memory>
 
-#include "ariadne/messages.hpp"
 #include "ariadne/protocol.hpp"
+#include "ariadne/wire.hpp"
 #include "net/sim_transport.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "description/amigos_io.hpp"
@@ -397,11 +396,9 @@ struct SteppedDirectory {
                   fast_config(Protocol::kSAriadne), kb),
           transport(static_cast<SteppingClockTransport&>(network.transport())) {
         network.appoint_directory(0);
-        net::Message pub;
-        pub.type = "pub";
+        net::Message pub = net::make_message(wire::PublishDoc{
+            desc::serialize_service(th::workstation_service()), 0});
         pub.source = 1;
-        pub.payload = msg::PublishDoc{
-            desc::serialize_service(th::workstation_service()), 0};
         transport.deliver(0, std::move(pub));
         transport.scheduled.clear();
         transport.sent.clear();
@@ -422,21 +419,25 @@ struct SteppedDirectory {
 /// takes, so the elapsed time always covers the compute.
 constexpr SimTime kSlowTickMs = 1000;
 
+/// A message from node 1, the stepped directory's only peer.
+net::Message from_peer(wire::Payload payload) {
+    net::Message msg = net::make_message(std::move(payload));
+    msg.source = 1;
+    return msg;
+}
+
 TEST(ReplyDelay, LocalReplyIsDueAtOnceWhenComputeHasElapsed) {
     SteppedDirectory dir(kSlowTickMs);
-    net::Message req;
-    req.type = "req";
-    req.source = 1;
-    req.payload = msg::Request{7, 1, SteppedDirectory::video_request()};
-    dir.transport.deliver(0, std::move(req));
+    dir.transport.deliver(
+        0, from_peer(wire::Request{7, 1, SteppedDirectory::video_request()}));
 
     ASSERT_EQ(dir.transport.scheduled.size(), 1u);
     EXPECT_EQ(dir.transport.scheduled[0].delay_ms, 0.0);
     dir.transport.scheduled[0].action();
     ASSERT_EQ(dir.transport.sent.size(), 1u);
-    ASSERT_EQ(dir.transport.sent[0].type, "resp");
+    ASSERT_EQ(dir.transport.sent[0].body.type, wire::MsgType::kResponse);
     const auto& response =
-        std::any_cast<const msg::Response&>(dir.transport.sent[0].payload);
+        std::get<wire::Response>(dir.transport.sent[0].body.payload);
     EXPECT_TRUE(response.satisfied);
     EXPECT_GT(response.compute_ms, 0.0);
     EXPECT_LT(response.compute_ms, kSlowTickMs);
@@ -444,19 +445,17 @@ TEST(ReplyDelay, LocalReplyIsDueAtOnceWhenComputeHasElapsed) {
 
 TEST(ReplyDelay, ForwardReplyIsDueAtOnceWhenComputeHasElapsed) {
     SteppedDirectory dir(kSlowTickMs);
-    net::Message fwd;
-    fwd.type = "fwd";
-    fwd.source = 1;
-    fwd.payload = msg::Forward{9, 1, SteppedDirectory::video_request()};
-    dir.transport.deliver(0, std::move(fwd));
+    dir.transport.deliver(
+        0, from_peer(wire::Forward{9, 1, SteppedDirectory::video_request()}));
 
     ASSERT_EQ(dir.transport.scheduled.size(), 1u);
     EXPECT_EQ(dir.transport.scheduled[0].delay_ms, 0.0);
     dir.transport.scheduled[0].action();
     ASSERT_EQ(dir.transport.sent.size(), 1u);
-    ASSERT_EQ(dir.transport.sent[0].type, "fwd-resp");
+    ASSERT_EQ(dir.transport.sent[0].body.type,
+              wire::MsgType::kForwardResponse);
     const auto& hits =
-        std::any_cast<const msg::QueryHits&>(dir.transport.sent[0].payload);
+        std::get<wire::ForwardResponse>(dir.transport.sent[0].body.payload);
     EXPECT_GT(hits.compute_ms, 0.0);
     EXPECT_LT(hits.compute_ms, kSlowTickMs);
 }
@@ -465,24 +464,18 @@ TEST(ReplyDelay, StoppedClockChargesTheWholeCompute) {
     // A clock that never moves inside a handler (the simulator's) leaves
     // the delay bit-for-bit equal to the measured compute.
     SteppedDirectory dir(0);
-    net::Message req;
-    req.type = "req";
-    req.source = 1;
-    req.payload = msg::Request{7, 1, SteppedDirectory::video_request()};
-    dir.transport.deliver(0, std::move(req));
-    net::Message fwd;
-    fwd.type = "fwd";
-    fwd.source = 1;
-    fwd.payload = msg::Forward{9, 1, SteppedDirectory::video_request()};
-    dir.transport.deliver(0, std::move(fwd));
+    dir.transport.deliver(
+        0, from_peer(wire::Request{7, 1, SteppedDirectory::video_request()}));
+    dir.transport.deliver(
+        0, from_peer(wire::Forward{9, 1, SteppedDirectory::video_request()}));
 
     ASSERT_EQ(dir.transport.scheduled.size(), 2u);
     for (auto& timer : dir.transport.scheduled) timer.action();
     ASSERT_EQ(dir.transport.sent.size(), 2u);
     const auto& response =
-        std::any_cast<const msg::Response&>(dir.transport.sent[0].payload);
+        std::get<wire::Response>(dir.transport.sent[0].body.payload);
     const auto& hits =
-        std::any_cast<const msg::QueryHits&>(dir.transport.sent[1].payload);
+        std::get<wire::ForwardResponse>(dir.transport.sent[1].body.payload);
     EXPECT_GT(response.compute_ms, 0.0);
     EXPECT_EQ(dir.transport.scheduled[0].delay_ms, response.compute_ms);
     EXPECT_EQ(dir.transport.scheduled[1].delay_ms, hits.compute_ms);
@@ -509,7 +502,8 @@ TEST(Retry, ExhaustedRetriesAreConcludedNotLeaked) {
     // down and the request must be concluded, not leaked.
     net::FaultPlan lossy;
     lossy.drop = [](net::NodeId, net::NodeId, const net::Message& msg) {
-        return msg.type == "req" || msg.type == "resp";
+        return msg.body.type == wire::MsgType::kRequest ||
+               msg.body.type == wire::MsgType::kResponse;
     };
     sim(network).set_faults(std::move(lossy));
     desc::ServiceRequest request;
@@ -649,19 +643,57 @@ TEST(SAriadne, CorruptSummaryWireIsContainedAndCounted) {
 
     // Header claims 1024 bits (16 body words) but carries none: the old
     // code threw bloom::Error here and aborted the simulation.
-    network.inject_summary_push(2, 0, {(std::uint64_t{1024} << 32) | 4u});
+    network.transport().unicast(
+        2, 0,
+        net::make_message(
+            wire::SummaryPush{2, {(std::uint64_t{1024} << 32) | 4u}}));
     // Truncated body: a real serialized filter with its last word cut off.
     bloom::BloomFilter real({256, 4});
     const std::string uri = "urn:svc";
     real.insert(bloom::BloomFilter::set_key({&uri, 1}));
-    auto wire = real.serialize();
-    wire.pop_back();
-    network.inject_summary_push(2, 0, std::move(wire));
+    auto words = real.serialize();
+    words.pop_back();
+    network.transport().unicast(
+        2, 0, net::make_message(wire::SummaryPush{2, std::move(words)}));
     network.run_for(500);
 
     EXPECT_EQ(registry.counter_value("protocol.bloom_wire_rejected"), 2u);
 
     // The receiving directory is still alive and answering.
+    desc::ServiceRequest request;
+    request.capabilities.push_back(th::get_video_stream());
+    const auto id = network.discover(1, desc::serialize_request(request));
+    network.run_for(5000);
+    EXPECT_TRUE(network.outcome(id).answered);
+    EXPECT_TRUE(network.outcome(id).satisfied);
+}
+
+TEST(SAriadne, MalformedHandoverIsContainedAndCounted) {
+    // Regression: the handover handler fed peer bytes to import_state
+    // unguarded, so a malformed state document threw out of the event loop
+    // (on a daemon, out of the reactor: the process terminated). It must be
+    // dropped and counted, and push no summary since nothing was imported.
+    auto kb = make_kb();
+    obs::MetricsRegistry registry;
+    DiscoveryNetwork network(Topology::grid(3, 1),
+                             fast_config(Protocol::kSAriadne), kb, &registry);
+    network.appoint_directory(0);
+    network.appoint_directory(2);
+    network.start();
+    network.run_for(200);
+    network.publish_service(0,
+                            desc::serialize_service(th::workstation_service()));
+    network.run_for(500);
+
+    const auto pushes_before =
+        registry.counter_value("protocol.summary_pushes");
+    network.transport().unicast(
+        2, 0, net::make_message(wire::Handover{"<not-xml"}));
+    network.run_for(500);
+    EXPECT_EQ(registry.counter_value("protocol.malformed_publishes"), 1u);
+    EXPECT_EQ(registry.counter_value("protocol.summary_pushes"),
+              pushes_before);
+
     desc::ServiceRequest request;
     request.capabilities.push_back(th::get_video_stream());
     const auto id = network.discover(1, desc::serialize_request(request));

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "ariadne/protocol.hpp"
+#include "ariadne/wire.hpp"
 #include "net/topology.hpp"
 #include "description/amigos_io.hpp"
 #include "description/resolved.hpp"
@@ -32,6 +33,17 @@ namespace sariadne::summary {
 namespace {
 
 namespace th = sariadne::testing;
+namespace wire = ariadne::wire;
+
+/// Sends a raw exact-summary image from `from` to `to` as a peer would:
+/// a snapshot, or a delta when `delta` is set.
+void send_image(ariadne::DiscoveryNetwork& network, net::NodeId from,
+                net::NodeId to, bool delta, std::vector<std::uint8_t> image) {
+    network.transport().unicast(
+        from, to,
+        delta ? net::make_message(wire::SummaryDelta{from, std::move(image)})
+              : net::make_message(wire::SummaryBitmap{from, std::move(image)}));
+}
 
 // ---------------------------------------------------------------------------
 // SparseBitmap
@@ -656,14 +668,14 @@ TEST(ExactSummary, CorruptImagesAreContainedAndCounted) {
 
     // Garbage snapshot and a truncated real snapshot: both must be
     // dropped and counted without disturbing the event loop.
-    network.inject_summary_image(2, 0, /*delta=*/false, {0xDE, 0xAD, 0xBE});
+    send_image(network, 2, 0, /*delta=*/false, {0xDE, 0xAD, 0xBE});
     IntervalSummary real;
     real.retain("urn:x", 5, Role::kOutputs, 3);
     auto image = encode_summary(real);
     image.pop_back();
-    network.inject_summary_image(2, 0, /*delta=*/false, std::move(image));
+    send_image(network, 2, 0, /*delta=*/false, std::move(image));
     // Garbage delta via the same containment path.
-    network.inject_summary_image(2, 0, /*delta=*/true, {0x00});
+    send_image(network, 2, 0, /*delta=*/true, {0x00});
     network.run_for(500);
 
     EXPECT_EQ(registry.counter_value("protocol.bloom_wire_rejected"), 3u);
@@ -696,7 +708,7 @@ TEST(ExactSummary, DeltaGapTriggersSnapshotRepull) {
     bogus.new_version = 987655;
     const auto pulls_before =
         registry.counter_value("protocol.summary_pulls");
-    network.inject_summary_image(2, 0, /*delta=*/true, encode_delta(bogus));
+    send_image(network, 2, 0, /*delta=*/true, encode_delta(bogus));
     network.run_for(2000);
     EXPECT_GE(registry.counter_value("protocol.summary_pulls"),
               pulls_before + 1);

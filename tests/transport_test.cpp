@@ -1,16 +1,16 @@
 // transport_test — the Transport seam. Socket-level behaviours of
 // net::EventLoopTransport over real loopback connections (framing across
 // partial reads, short writes of large frames, peer close, oversized and
-// malformed frame rejection, write-queue backpressure, ingress field
-// rewriting), the SimTransport equivalence pin: DiscoveryNetwork built
-// through the topology convenience constructor must behave identically —
-// same outcomes, same TrafficStats, same sim.* counters — to one built
-// over an explicit SimTransport, since the former is sugar for the latter,
-// and a DiscoveryNetwork directory on the reactor answering in the step
-// that read the request.
+// malformed frame rejection, write-queue backpressure), the SimTransport
+// equivalence pin: DiscoveryNetwork built through the topology
+// convenience constructor must behave identically — same outcomes, same
+// TrafficStats, same sim.* counters — to one built over an explicit
+// SimTransport, since the former is sugar for the latter, and a
+// DiscoveryNetwork directory on the reactor: answering in the step that
+// read the request, on the connection that sent it, and surviving node
+// ids a peer writes into payloads.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -26,8 +26,8 @@
 
 #include <arpa/inet.h>
 
-#include "ariadne/messages.hpp"
 #include "ariadne/protocol.hpp"
+#include "bloom/bloom_filter.hpp"
 #include "description/amigos_io.hpp"
 #include "net/sim_transport.hpp"
 #include "ariadne/wire.hpp"
@@ -41,6 +41,7 @@ namespace sariadne::net {
 namespace {
 
 namespace th = sariadne::testing;
+namespace wire = ariadne::wire;
 using namespace std::chrono_literals;
 
 /// Runs an EventLoopTransport's reactor on a background thread. Handlers
@@ -217,15 +218,11 @@ TEST(EventLoopTransport, DeliversRequestAndRoutesResponseBack) {
     auto& transport = runner.transport;
     transport.set_delivery_handler([&](NodeId self, const Message& message) {
         ASSERT_EQ(self, 0u);
-        if (message.type != "req") return;
-        const auto& request =
-            std::any_cast<const ariadne::msg::Request&>(message.payload);
-        Message reply;
-        reply.type = "resp";
-        reply.size_bytes = 16;
-        reply.payload = ariadne::msg::Response{
-            request.request_id, {}, true, 0.0, 1};
-        transport.unicast(0, message.source, std::move(reply));
+        if (message.body.type != wire::MsgType::kRequest) return;
+        const auto& request = std::get<wire::Request>(message.body.payload);
+        transport.unicast(0, message.source,
+                          make_message(wire::Response{request.request_id, {},
+                                                      true, 0.0, 1}));
     });
     runner.start();
 
@@ -241,30 +238,6 @@ TEST(EventLoopTransport, DeliversRequestAndRoutesResponseBack) {
     const auto& response = std::get<ariadne::wire::Response>(reply.payload);
     EXPECT_EQ(response.request_id, 42u);
     EXPECT_TRUE(response.satisfied);
-}
-
-TEST(EventLoopTransport, RewritesClientFieldToConnectionId) {
-    DeliveryLog log;
-    LoopRunner runner{EventLoopConfig{}};
-    runner.transport.set_delivery_handler(
-        [&](NodeId, const Message& message) { log.push(message); });
-    runner.start();
-
-    TestClient client(runner.transport.local_port());
-    ASSERT_TRUE(client.connected());
-    ariadne::wire::WireMessage request;
-    request.type = ariadne::wire::MsgType::kRequest;
-    // A spoofed client id: the peer claims to be node 999 so responses
-    // would be directed elsewhere. The transport must overwrite it.
-    request.payload = ariadne::wire::Request{7, 999, "<request/>"};
-    client.send_frame(request);
-
-    ASSERT_TRUE(log.wait_for_size(1, 2000ms));
-    const Message delivered = log.at(0);
-    const auto& parsed =
-        std::any_cast<const ariadne::msg::Request&>(delivered.payload);
-    EXPECT_EQ(parsed.client, delivered.source);
-    EXPECT_NE(parsed.client, 999u);
 }
 
 TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
@@ -292,9 +265,8 @@ TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
 
     ASSERT_TRUE(log.wait_for_size(1, 2000ms));
     const Message delivered = log.at(0);
-    EXPECT_EQ(delivered.type, "pub");
-    const auto& doc =
-        std::any_cast<const ariadne::msg::PublishDoc&>(delivered.payload);
+    EXPECT_EQ(delivered.body.type, wire::MsgType::kPublish);
+    const auto& doc = std::get<wire::PublishDoc>(delivered.body.payload);
     EXPECT_EQ(doc.document, document);
     EXPECT_EQ(doc.pub_id, 5u);
     EXPECT_EQ(log.size(), 1u);  // one frame, not one per chunk
@@ -308,12 +280,9 @@ TEST(EventLoopTransport, LargeFrameSurvivesShortWrites) {
     // the client is still asleep.
     const std::string state(900 * 1024, 's');
     transport.set_delivery_handler([&](NodeId, const Message& message) {
-        if (message.type != "req") return;
-        Message reply;
-        reply.type = "handover";
-        reply.size_bytes = static_cast<std::uint32_t>(state.size());
-        reply.payload = ariadne::msg::Handover{state};
-        transport.unicast(0, message.source, std::move(reply));
+        if (message.body.type != wire::MsgType::kRequest) return;
+        transport.unicast(0, message.source,
+                          make_message(wire::Handover{state}));
     });
     runner.start();
 
@@ -432,17 +401,14 @@ TEST(EventLoopTransport, WriteQueueBackpressureShedsFrames) {
     transport.set_metrics(&registry);
     const std::string blob(16 * 1024, 'b');
     transport.set_delivery_handler([&](NodeId, const Message& message) {
-        if (message.type != "req") return;
+        if (message.body.type != wire::MsgType::kRequest) return;
         // 32 × 16 KB against a 64 KB queue limit, enqueued back-to-back
         // within one handler call — before the reactor flushes anything —
         // so only the first few frames fit and the rest must be shed
         // rather than queued without bound.
         for (int i = 0; i < 32; ++i) {
-            Message reply;
-            reply.type = "handover";
-            reply.size_bytes = static_cast<std::uint32_t>(blob.size());
-            reply.payload = ariadne::msg::Handover{blob};
-            transport.unicast(0, message.source, std::move(reply));
+            transport.unicast(0, message.source,
+                              make_message(wire::Handover{blob}));
         }
     });
     runner.start();
@@ -553,49 +519,148 @@ TEST(SimTransportEquivalence, TransportAccessorsForwardToSimulator) {
 
 // --- DiscoveryNetwork on the reactor ---------------------------------------
 
-TEST(EventLoopDirectory, ReplyLeavesInTheStepThatReadTheRequest) {
-    // The reactor runs on this thread, so the test controls its steps.
-    auto kb = make_kb();
-    auto owned = std::make_unique<EventLoopTransport>(EventLoopConfig{});
-    EventLoopTransport& loop = *owned;
-    ariadne::ProtocolConfig config;
-    config.adv_period_ms = 1e9;  // no advertisement frames between replies
-    ariadne::DiscoveryNetwork network(std::move(owned), config, kb);
-    network.appoint_directory(0);
-
-    TestClient client(loop.local_port());
-    ASSERT_TRUE(client.connected());
-    ariadne::wire::WireMessage publish;
-    publish.type = ariadne::wire::MsgType::kPublish;
-    publish.payload = ariadne::wire::PublishDoc{
-        desc::serialize_service(th::workstation_service()), 1};
-    client.send_frame(publish);
-    const auto deadline = std::chrono::steady_clock::now() + 2s;
-    while (!client.readable() &&
-           std::chrono::steady_clock::now() < deadline) {
-        loop.run_for(1);
+/// A daemon-shaped directory: DiscoveryNetwork node 0 on a reactor that
+/// the test drives from its own thread.
+struct ReactorDirectory {
+    ReactorDirectory() : kb(make_kb()) {
+        auto owned = std::make_unique<EventLoopTransport>(EventLoopConfig{});
+        loop = owned.get();
+        ariadne::ProtocolConfig config;
+        config.adv_period_ms = 1e9;  // no advertisement frames between replies
+        network = std::make_unique<ariadne::DiscoveryNetwork>(std::move(owned),
+                                                              config, kb);
+        network->appoint_directory(0);
     }
-    ASSERT_EQ(client.read_frame().type, ariadne::wire::MsgType::kPubAck);
+
+    /// Steps the reactor until `client` has something to read, for at
+    /// most two seconds; false if nothing arrived.
+    bool step_until_readable(TestClient& client) {
+        const auto deadline = std::chrono::steady_clock::now() + 2s;
+        while (!client.readable() &&
+               std::chrono::steady_clock::now() < deadline) {
+            loop->run_for(1);
+        }
+        return client.readable();
+    }
+
+    /// Publishes the workstation service over `client` and waits for its
+    /// ack.
+    void publish_workstation(TestClient& client) {
+        client.send_frame(
+            {wire::MsgType::kPublish,
+             wire::PublishDoc{
+                 desc::serialize_service(th::workstation_service()), 1}});
+        ASSERT_TRUE(step_until_readable(client));
+        ASSERT_EQ(client.read_frame().type, wire::MsgType::kPubAck);
+    }
+
+    static std::string video_request() {
+        desc::ServiceRequest request;
+        request.capabilities.push_back(th::get_video_stream());
+        return desc::serialize_request(request);
+    }
+
+    encoding::KnowledgeBase kb;
+    EventLoopTransport* loop = nullptr;
+    std::unique_ptr<ariadne::DiscoveryNetwork> network;
+};
+
+TEST(EventLoopDirectory, ReplyLeavesInTheStepThatReadTheRequest) {
+    ReactorDirectory dir;
+    TestClient client(dir.loop->local_port());
+    ASSERT_TRUE(client.connected());
+    dir.publish_workstation(client);
 
     // The request frame and a stop byte are both pending before the next
     // step, so run_until_stopped() runs exactly one step and then closes
     // every connection without another: the response reaches the client
     // only if no timer held it past that step.
-    desc::ServiceRequest request;
-    request.capabilities.push_back(th::get_video_stream());
-    ariadne::wire::WireMessage query;
-    query.type = ariadne::wire::MsgType::kRequest;
-    query.payload =
-        ariadne::wire::Request{11, 0, desc::serialize_request(request)};
-    client.send_frame(query);
-    loop.request_stop();
-    loop.run_until_stopped(0);
+    client.send_frame(
+        {wire::MsgType::kRequest,
+         wire::Request{11, 0, ReactorDirectory::video_request()}});
+    dir.loop->request_stop();
+    dir.loop->run_until_stopped(0);
 
     const auto reply = client.read_frame();
-    ASSERT_EQ(reply.type, ariadne::wire::MsgType::kResponse);
-    const auto& response = std::get<ariadne::wire::Response>(reply.payload);
+    ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+    const auto& response = std::get<wire::Response>(reply.payload);
     EXPECT_EQ(response.request_id, 11u);
     EXPECT_TRUE(response.satisfied);
+}
+
+TEST(EventLoopDirectory, AnswersOnTheConnectionThatSentTheRequest) {
+    ReactorDirectory dir;
+    TestClient client(dir.loop->local_port());
+    TestClient bystander(dir.loop->local_port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(bystander.connected());
+    dir.publish_workstation(client);
+
+    // A spoofed client id: the peer claims to be node 999. The reply goes
+    // to the connection the request came from, whatever the payload says.
+    client.send_frame(
+        {wire::MsgType::kRequest,
+         wire::Request{7, 999, ReactorDirectory::video_request()}});
+    ASSERT_TRUE(dir.step_until_readable(client));
+    const auto reply = client.read_frame();
+    ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+    EXPECT_EQ(std::get<wire::Response>(reply.payload).request_id, 7u);
+    EXPECT_TRUE(std::get<wire::Response>(reply.payload).satisfied);
+    EXPECT_FALSE(bystander.readable());
+}
+
+TEST(EventLoopDirectory, ForgedSummarySenderIdIsNotAnIndex) {
+    // Regression: the directory keyed a peer's summary by the `from` field
+    // of the summary-push and later indexed its node table with it, so a
+    // forged id crashed the daemon (SIGSEGV) on the next request it could
+    // not answer locally.
+    ReactorDirectory dir;
+    TestClient client(dir.loop->local_port());
+    ASSERT_TRUE(client.connected());
+    bloom::BloomFilter summary({256, 4});
+    client.send_frame({wire::MsgType::kSummaryPush,
+                       wire::SummaryPush{0x7FFFFFF0u, summary.serialize()}});
+    // Nothing is published, so the request is unsatisfied locally and the
+    // directory consults its peer summaries for forwarding targets.
+    client.send_frame(
+        {wire::MsgType::kRequest,
+         wire::Request{3, 0, ReactorDirectory::video_request()}});
+    ASSERT_TRUE(dir.step_until_readable(client));
+    const auto reply = client.read_frame();
+    ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+    EXPECT_EQ(std::get<wire::Response>(reply.payload).request_id, 3u);
+    EXPECT_FALSE(std::get<wire::Response>(reply.payload).satisfied);
+}
+
+TEST(EventLoopDirectory, TwoConnectionsReusingARequestIdBothGetAnswers) {
+    // Clients pick request ids independently. Two requests with the same
+    // id handled in one reactor step must both be answered, each on its
+    // own connection.
+    ReactorDirectory dir;
+    TestClient a(dir.loop->local_port());
+    TestClient b(dir.loop->local_port());
+    ASSERT_TRUE(a.connected());
+    ASSERT_TRUE(b.connected());
+    dir.publish_workstation(a);
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (dir.loop->live_connections() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+        dir.loop->run_for(1);
+    }
+    ASSERT_EQ(dir.loop->live_connections(), 2u);
+
+    const wire::WireMessage request{
+        wire::MsgType::kRequest,
+        wire::Request{5, 0, ReactorDirectory::video_request()}};
+    a.send_frame(request);
+    b.send_frame(request);
+    for (TestClient* client : {&a, &b}) {
+        ASSERT_TRUE(dir.step_until_readable(*client));
+        const auto reply = client->read_frame();
+        ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+        EXPECT_EQ(std::get<wire::Response>(reply.payload).request_id, 5u);
+        EXPECT_TRUE(std::get<wire::Response>(reply.payload).satisfied);
+    }
 }
 
 }  // namespace
