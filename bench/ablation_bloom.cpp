@@ -24,6 +24,7 @@
 #include "description/resolved.hpp"
 #include "directory/semantic_directory.hpp"
 #include "summary/interval_summary.hpp"
+#include "summary/routing_summary.hpp"
 #include "summary/summary_wire.hpp"
 #include "support/stopwatch.hpp"
 #include "workload/ontology_gen.hpp"
@@ -101,13 +102,13 @@ void run_frontier(std::size_t services, std::size_t dirs, bool small,
     for (std::size_t d = 0; d < dirs; ++d) {
         for (const desc::ServiceDescription& service : batches[d]) {
             for (const auto& cap : desc::resolve_provided(service, kb)) {
-                const auto uris = desc::ontology_uris(cap, kb.registry());
+                const auto uris = summary::ontology_uris(cap, kb.registry());
                 for (BloomCell& cell : cells) {
                     cell.filters[d].insert_ontology_set(uris);
                 }
             }
         }
-        summaries.push_back(directories[d]->interval_summary());
+        summaries.push_back(directories[d]->summary().interval());
         exact_summary_bytes += summary::encode_summary(summaries[d]).size();
     }
 
@@ -128,7 +129,7 @@ void run_frontier(std::size_t services, std::size_t dirs, bool small,
         std::vector<std::string> uris;
         for (const auto& cap : resolved) {
             for (const std::string& uri :
-                 desc::ontology_uris(cap, kb.registry())) {
+                 summary::ontology_uris(cap, kb.registry())) {
                 uris.push_back(uri);
             }
         }
@@ -204,7 +205,7 @@ void run_frontier(std::size_t services, std::size_t dirs, bool small,
             directories[d]->publish_xml(workload.service_xml(services + round))
                 .id;
         has_pending[d] = true;
-        summary::IntervalSummary cur = directories[d]->interval_summary();
+        summary::IntervalSummary cur = directories[d]->summary().interval();
         const summary::SummaryDelta delta =
             summary::diff_summary(last_pushed[d], cur);
         delta_bytes += summary::encode_delta(delta).size();

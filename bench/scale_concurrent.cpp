@@ -43,7 +43,7 @@ struct Fixture {
         workload =
             std::make_unique<workload::ServiceWorkload>(std::move(universe));
         directory = std::make_unique<directory::SemanticDirectory>(
-            kb, bloom::BloomParams{}, &metrics);
+            kb, directory::SummaryConfig{}, &metrics);
         for (std::size_t i = 0; i < kServices; ++i) {
             directory->publish(workload->service(i));
         }

@@ -12,7 +12,6 @@
 #include "description/resolved.hpp"
 #include "directory/state_transfer.hpp"
 #include "obs/metric_names.hpp"
-#include "summary/summary_wire.hpp"
 #include "support/catching.hpp"
 #include "support/contracts.hpp"
 #include "support/hash.hpp"
@@ -67,16 +66,17 @@ struct DiscoveryNetwork::NodeState {
 
     std::unique_ptr<directory::SemanticDirectory> semdir;
     std::unique_ptr<directory::SyntacticDirectory> syndir;
-    std::unordered_map<NodeId, bloom::BloomFilter> peer_summaries;
-    std::unordered_map<NodeId, std::size_t> peer_false_positives;
-    /// Interval backend: exact peer summaries keyed by directory, the
-    /// snapshot of our own summary as the backbone last saw it (delta
-    /// base), and whether any push went out yet (first push is always a
-    /// full snapshot).
-    std::unordered_map<NodeId, summary::IntervalSummary> peer_exact_summaries;
-    summary::IntervalSummary last_pushed_summary;
-    bool summary_pushed_once = false;
-    std::size_t publishes_since_push = 0;
+
+    /// Summary exchange state, reset as a whole on resignation.
+    struct Exchange {
+        summary::PeerSummaries peers;  ///< what each peer last told us
+        /// Our summary as the backbone last received it (the delta base);
+        /// nullopt before the first push.
+        std::optional<summary::RoutingSummary> last_pushed;
+        std::unordered_map<NodeId, std::size_t> false_positives;
+        std::size_t publishes_since_push = 0;
+    };
+    Exchange exchange;
 
     /// Requests this directory is answering, by directory-assigned id, and
     /// that id for each (client, client's request id).
@@ -307,10 +307,7 @@ void DiscoveryNetwork::resign_directory(NodeId node) {
     state.declines_role = true;  // it resigned for a reason (resources)
     state.semdir.reset();
     state.syndir.reset();
-    state.peer_summaries.clear();
-    state.peer_exact_summaries.clear();
-    state.last_pushed_summary = summary::IntervalSummary{};
-    state.summary_pushed_once = false;
+    state.exchange = {};
     state.last_adv = -1e18;  // eligible to detect a directory-less vicinity
 
     if (exported.empty()) return;  // syntactic mode: providers re-publish
@@ -354,9 +351,7 @@ void DiscoveryNetwork::become_directory(NodeId node) {
         // where established content lives.
         push_summary(node);
         for (const NodeId peer : directories()) {
-            if (peer == node) continue;
-            if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-            send(node, peer, SummaryPull{});
+            if (peer != node) pull_summary(node, peer);
         }
     }
 }
@@ -376,72 +371,82 @@ void DiscoveryNetwork::directory_advertise(NodeId node) {
 void DiscoveryNetwork::push_summary(NodeId directory_node) {
     NodeState& state = *nodes_[directory_node];
     if (state.semdir == nullptr) return;
-    if (config_.summary_backend == summary::SummaryBackend::kInterval) {
-        push_exact_summary(directory_node);
-        return;
-    }
-    const auto wire = state.semdir->summary().serialize();
+    NodeState::Exchange& exchange = state.exchange;
+    exchange.publishes_since_push = 0;
+    summary::RoutingSummary current = state.semdir->summary();
+    const auto image = current.push(exchange.last_pushed);
+    exchange.last_pushed = std::move(current);
+    if (!image) return;
     for (const NodeId peer : directories()) {
         if (peer == directory_node) continue;
         if (metrics_.summary_pushes) metrics_.summary_pushes->inc();
-        if (metrics_.summary_bytes_sent) {
-            metrics_.summary_bytes_sent->inc(
-                static_cast<std::uint64_t>(wire.size() * 8));
-        }
-        send(directory_node, peer, SummaryPush{directory_node, wire});
-    }
-    state.publishes_since_push = 0;
-}
-
-void DiscoveryNetwork::push_exact_summary(NodeId directory_node) {
-    NodeState& state = *nodes_[directory_node];
-    summary::IntervalSummary current = state.semdir->interval_summary();
-    // Nothing changed since the backbone last heard from us: every delta
-    // would be empty and every snapshot redundant (late-elected peers pull
-    // their own copy), so skip the fan-out entirely.
-    if (state.summary_pushed_once &&
-        current.version() == state.last_pushed_summary.version()) {
-        state.publishes_since_push = 0;
-        return;
-    }
-    std::vector<std::uint8_t> image;
-    bool is_delta = false;
-    if (state.summary_pushed_once) {
-        // Delta against the last pushed image; fall back to the full
-        // snapshot when the delta would not actually be smaller. A peer
-        // that missed the base version detects the gap on apply and
-        // re-pulls a snapshot, so one shared base is sufficient.
-        std::vector<std::uint8_t> delta_image = summary::encode_delta(
-            summary::diff_summary(state.last_pushed_summary, current));
-        std::vector<std::uint8_t> snap_image = summary::encode_summary(current);
-        if (delta_image.size() < snap_image.size()) {
-            image = std::move(delta_image);
-            is_delta = true;
-        } else {
-            image = std::move(snap_image);
-        }
-    } else {
-        image = summary::encode_summary(current);
-    }
-    for (const NodeId peer : directories()) {
-        if (peer == directory_node) continue;
-        if (metrics_.summary_pushes) metrics_.summary_pushes->inc();
-        if (metrics_.summary_bytes_sent) {
-            metrics_.summary_bytes_sent->inc(
-                static_cast<std::uint64_t>(image.size()));
-        }
-        if (is_delta && metrics_.summary_delta_pushes) {
+        if (image->kind == summary::Image::Kind::kDelta &&
+            metrics_.summary_delta_pushes) {
             metrics_.summary_delta_pushes->inc();
         }
-        if (is_delta) {
-            send(directory_node, peer, SummaryDelta{directory_node, image});
-        } else {
-            send(directory_node, peer, SummaryBitmap{directory_node, image});
-        }
+        send_summary(directory_node, peer, *image);
     }
-    state.last_pushed_summary = std::move(current);
-    state.summary_pushed_once = true;
-    state.publishes_since_push = 0;
+}
+
+void DiscoveryNetwork::after_publishes(NodeId directory_node,
+                                       std::uint64_t version_before,
+                                       std::size_t published) {
+    NodeState& state = *nodes_[directory_node];
+    // A peer routing on a summary that lacks new coverage gets false
+    // *negatives*, which (unlike false positives) the reactive exchange
+    // cannot repair. The batch threshold still forces a periodic refresh.
+    state.exchange.publishes_since_push += published;
+    if ((published > 0 &&
+         state.exchange.publishes_since_push >= config_.summary_push_every) ||
+        state.semdir->summary_version() != version_before) {
+        push_summary(directory_node);
+    }
+}
+
+void DiscoveryNetwork::pull_summary(NodeId self, NodeId peer) {
+    if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
+    send(self, peer, SummaryPull{});
+}
+
+void DiscoveryNetwork::send_summary(NodeId from, NodeId to,
+                                    summary::Image image) {
+    if (metrics_.summary_bytes_sent) {
+        metrics_.summary_bytes_sent->inc(image.words.size() * 8 +
+                                         image.bytes.size());
+    }
+    switch (image.kind) {
+        case summary::Image::Kind::kBloom:
+            send(from, to, SummaryPush{from, std::move(image.words)});
+            return;
+        case summary::Image::Kind::kSnapshot:
+            send(from, to, SummaryBitmap{from, std::move(image.bytes)});
+            return;
+        case summary::Image::Kind::kDelta:
+            send(from, to, SummaryDelta{from, std::move(image.bytes)});
+            return;
+    }
+}
+
+void DiscoveryNetwork::receive_summary(NodeId self, NodeId from,
+                                       const summary::ImageView& image) {
+    switch (summary::RoutingSummary::apply(
+        config_.summary_backend, nodes_[self]->exchange.peers, from, image)) {
+        case summary::Applied::kApplied:
+            return;
+        case summary::Applied::kRejected:
+            // Peer-controlled bytes: a corrupt image, or one of the backend
+            // this network does not run, is counted and dropped here
+            // instead of unwinding the event loop.
+            if (metrics_.bloom_wire_rejected) {
+                metrics_.bloom_wire_rejected->inc();
+            }
+            return;
+        case summary::Applied::kGap:
+            // Missed the delta's base version (packet loss, late election,
+            // or no copy at all): re-pull a full snapshot.
+            pull_summary(self, from);
+            return;
+    }
 }
 
 std::vector<NodeId> DiscoveryNetwork::directories() const {
@@ -648,11 +653,7 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
         return;
     }
     if (state.semdir != nullptr) {
-        const bool exact =
-            config_.summary_backend == summary::SummaryBackend::kInterval;
-        const std::size_t bits_before = state.semdir->summary().set_bit_count();
-        const std::uint64_t version_before =
-            exact ? state.semdir->interval_summary_version() : 0;
+        const std::uint64_t version_before = state.semdir->summary_version();
         // The document is peer input: a malformed description must be
         // contained here (dropped + counted), not unwind the transport's
         // event loop. No ack is sent, so an acknowledged publish of a bad
@@ -666,23 +667,7 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
             if (metrics_.malformed_publishes) metrics_.malformed_publishes->inc();
             return;
         }
-        // Push the summary whenever it gained bits — i.e. this publish
-        // introduced ontology coverage the backbone does not know about.
-        // Peers testing a stale filter would otherwise get false
-        // *negatives*, which (unlike false positives) the reactive
-        // exchange cannot repair. Pushes are bounded by the number of
-        // distinct ontology sets, and the batch threshold still forces a
-        // periodic refresh. The exact backend watches its summary version
-        // instead: it changes at concept granularity (a new code inside an
-        // already-covered ontology moves it where Bloom bits would not),
-        // and the delta encoding keeps those extra pushes small.
-        const bool coverage_grew =
-            exact ? state.semdir->interval_summary_version() != version_before
-                  : state.semdir->summary().set_bit_count() > bits_before;
-        if (++state.publishes_since_push >= config_.summary_push_every ||
-            coverage_grew) {
-            push_summary(self);
-        }
+        after_publishes(self, version_before, 1);
     } else {
         const auto published = support::catching<bool>([&] {
             state.syndir->publish_xml(doc.document);
@@ -729,11 +714,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
         }
         return;
     }
-    const bool exact =
-        config_.summary_backend == summary::SummaryBackend::kInterval;
-    const std::size_t bits_before = state.semdir->summary().set_bit_count();
-    const std::uint64_t version_before =
-        exact ? state.semdir->interval_summary_version() : 0;
+    const std::uint64_t version_before = state.semdir->summary_version();
     // Parse phase: each document is peer input, contained per member. A
     // malformed member is dropped (counted, never acked — the provider's
     // retransmit budget expires it) without poisoning the rest.
@@ -780,15 +761,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
             }
         }
     }
-    const bool coverage_grew =
-        exact ? state.semdir->interval_summary_version() != version_before
-              : state.semdir->summary().set_bit_count() > bits_before;
-    state.publishes_since_push += published_count;
-    if ((published_count > 0 &&
-         state.publishes_since_push >= config_.summary_push_every) ||
-        coverage_grew) {
-        push_summary(self);
-    }
+    after_publishes(self, version_before, published_count);
 }
 
 // --- discovery ----------------------------------------------------------------
@@ -888,61 +861,30 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
         }
         return targets;
     }
-    if (config_.summary_backend == summary::SummaryBackend::kInterval) {
-        if (state.peer_exact_summaries.empty()) return targets;
-        // Exact routing: forward only to peers whose interval summary
-        // proves some cached capability could subsume every required
-        // output/property concept. Build the probe once per request;
-        // covers() is a bitmap intersection per peer.
-        summary::RequestProbe probe;
-        try {
-            probe = summary::build_request_probe(
-                prepared_request(document).resolved, *kb_);
-        } catch (const Error&) {
-            return targets;  // unresolvable request: nothing to forward
-        }
-        for (const auto& [peer, peer_summary] : state.peer_exact_summaries) {
-            if (!nodes_[peer]->is_directory) continue;
-            if (peer_summary.covers(probe)) {
-                targets.push_back(peer);
-                continue;
-            }
-            // Count the forwards concept-granular routing saves over
-            // URI-granular: the peer holds every probed ontology (so a
-            // Bloom summary would have said yes) but none of the
-            // subsuming concept codes.
-            bool ontology_level_pass = true;
-            for (const summary::ProbeConcept& pc : probe.concepts) {
-                if (peer_summary.find_entry(pc.uri) == nullptr) {
-                    ontology_level_pass = false;
-                    break;
-                }
-            }
-            if (ontology_level_pass && metrics_.forwards_saved_exact) {
-                metrics_.forwards_saved_exact->inc();
-            }
-        }
-        std::sort(targets.begin(), targets.end());
-        return targets;
-    }
-    // Bloom routing: only peers whose summary covers the request's
-    // ontology URIs.
-    if (state.peer_summaries.empty()) return targets;
-    std::vector<std::string> uris;
+    const summary::PeerSummaries& peers = state.exchange.peers;
+    if (peers.empty()) return targets;
+    // Build the probe once per request; admit() is a bitmap or filter test
+    // per peer.
+    summary::RoutingProbe probe;
     try {
-        FlatSet<onto::OntologyIndex> all;
-        for (const auto& cap : prepared_request(document).resolved) {
-            all = all.united_with(cap.ontologies);
-        }
-        for (const onto::OntologyIndex index : all) {
-            uris.push_back(kb_->registry().at(index).uri());
-        }
+        probe = summary::RoutingSummary::probe(
+            config_.summary_backend, prepared_request(document).resolved, *kb_);
     } catch (const Error&) {
         return targets;  // unresolvable request: nothing to forward
     }
-    for (const auto& [peer, summary] : state.peer_summaries) {
-        if (nodes_[peer]->is_directory && summary.possibly_covers(uris)) {
-            targets.push_back(peer);
+    for (const auto& [peer, peer_summary] : peers) {
+        if (!nodes_[peer]->is_directory) continue;
+        switch (peer_summary.admit(probe)) {
+            case summary::Admission::kAdmit:
+                targets.push_back(peer);
+                break;
+            case summary::Admission::kRejectByConcept:
+                if (metrics_.forwards_saved_exact) {
+                    metrics_.forwards_saved_exact->inc();
+                }
+                break;
+            case summary::Admission::kReject:
+                break;
         }
     }
     std::sort(targets.begin(), targets.end());
@@ -1097,20 +1039,18 @@ void DiscoveryNetwork::handle_forward_reply(NodeId self, const Message& msg) {
         if (!hits.empty()) any_hit = true;
     }
     if (!any_hit && config_.protocol == Protocol::kSAriadne) {
-        // The peer's summary covered the request but its cache had nothing:
-        // a Bloom false positive (or a stale filter). The exact backend has
-        // no false positives by construction — an empty reply there can
-        // only mean staleness, so the pull-threshold repair stays armed for
-        // both backends but the false-positive counter is Bloom-only.
-        if (config_.summary_backend == summary::SummaryBackend::kBloom &&
+        // The peer's summary admitted the request but its cache had
+        // nothing: a false positive or a stale copy. Only the former is
+        // counted (the exact summary has none by construction); the
+        // pull-threshold repair covers both.
+        if (summary::RoutingSummary::over_admits(config_.summary_backend) &&
             metrics_.bloom_false_positives) {
             metrics_.bloom_false_positives->inc();
         }
-        if (++state.peer_false_positives[msg.source] >=
-            config_.false_positive_pull_threshold) {
-            state.peer_false_positives[msg.source] = 0;
-            if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-            send(self, msg.source, SummaryPull{});
+        std::size_t& empty_replies = state.exchange.false_positives[msg.source];
+        if (++empty_replies >= config_.false_positive_pull_threshold) {
+            empty_replies = 0;
+            pull_summary(self, msg.source);
         }
     }
 
@@ -1361,81 +1301,33 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
                 // A pull *reply* is reactive, not proactive: counting it under
                 // summary_pushes would conflate the two flows and break any
                 // comparison against the false_positive_pull_threshold policy.
+                // It is always the full image: the puller either has no copy
+                // yet (fresh election) or missed a delta's base.
                 if (metrics_.summary_pull_replies) {
                     metrics_.summary_pull_replies->inc();
                 }
-                if (config_.summary_backend ==
-                    summary::SummaryBackend::kInterval) {
-                    // Pull replies are always a full snapshot: the puller
-                    // either has no copy yet (fresh election) or detected a
-                    // version gap a delta cannot bridge.
-                    auto image = summary::encode_summary(
-                        state.semdir->interval_summary());
-                    if (metrics_.summary_bytes_sent) {
-                        metrics_.summary_bytes_sent->inc(
-                            static_cast<std::uint64_t>(image.size()));
-                    }
-                    send(self, msg.source,
-                         SummaryBitmap{self, std::move(image)});
-                    return;
-                }
-                auto words = state.semdir->summary().serialize();
-                if (metrics_.summary_bytes_sent) {
-                    metrics_.summary_bytes_sent->inc(
-                        static_cast<std::uint64_t>(words.size() * 8));
-                }
-                send(self, msg.source, SummaryPush{self, std::move(words)});
+                send_summary(self, msg.source,
+                             state.semdir->summary().full_image());
             }
             return;
-        case MsgType::kSummaryPush: {
-            const auto& push = std::get<SummaryPush>(msg.body.payload);
-            // Wire data is peer-controlled: a corrupt or hostile summary must
-            // be contained here, not unwind the simulator event loop.
-            if (auto filter =
-                    bloom::BloomFilter::try_deserialize(push.summary_wire)) {
-                state.peer_summaries.insert_or_assign(msg.source,
-                                                      *std::move(filter));
-            } else if (metrics_.bloom_wire_rejected) {
-                metrics_.bloom_wire_rejected->inc();
-            }
+        case MsgType::kSummaryPush:
+            receive_summary(
+                self, msg.source,
+                {summary::Image::Kind::kBloom,
+                 std::get<SummaryPush>(msg.body.payload).summary_wire, {}});
             return;
-        }
-        case MsgType::kSummaryBitmap: {
-            const auto& push = std::get<SummaryBitmap>(msg.body.payload);
-            // The image is peer-controlled bytes: the bounded summary decoder
-            // either yields an invariant-checked summary or a parse error that
-            // is counted and dropped (same containment as Bloom pushes).
-            if (auto decoded = summary::try_decode_summary(push.image)) {
-                state.peer_exact_summaries.insert_or_assign(
-                    msg.source, std::move(decoded).value());
-            } else if (metrics_.bloom_wire_rejected) {
-                metrics_.bloom_wire_rejected->inc();
-            }
+        case MsgType::kSummaryBitmap:
+            receive_summary(
+                self, msg.source,
+                {summary::Image::Kind::kSnapshot, {},
+                 std::get<SummaryBitmap>(msg.body.payload).image});
             return;
-        }
-        case MsgType::kSummaryDelta: {
-            const auto& push = std::get<SummaryDelta>(msg.body.payload);
-            auto decoded = summary::try_decode_delta(push.image);
-            if (!decoded) {
-                if (metrics_.bloom_wire_rejected) {
-                    metrics_.bloom_wire_rejected->inc();
-                }
-                return;
-            }
-            auto held = state.peer_exact_summaries.find(msg.source);
-            summary::DeltaApply applied = summary::DeltaApply::kGap;
-            if (held != state.peer_exact_summaries.end()) {
-                applied = held->second.apply_delta(decoded.value());
-            }
-            if (applied == summary::DeltaApply::kGap) {
-                // Missed the delta's base version (packet loss, late election,
-                // or no copy at all): re-pull a full snapshot. kDuplicate is
-                // the idempotent case — a re-delivered delta changes nothing.
-                if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
-                send(self, msg.source, SummaryPull{});
-            }
+        case MsgType::kSummaryDelta:
+            receive_summary(
+                self, msg.source,
+                {summary::Image::Kind::kDelta, {},
+                 std::get<SummaryDelta>(msg.body.payload).image});
             return;
-        }
         case MsgType::kPubAck: {
             const auto& ack = std::get<PubAck>(msg.body.payload);
             if (state.outstanding_publishes.erase(ack.pub_id) > 0) {

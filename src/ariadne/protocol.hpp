@@ -13,12 +13,13 @@
 //   * Publish — each provider registers its description with the nearest
 //     directory, which parses and classifies it into its capability DAGs
 //     (semantic mode) or stores the WSDL document (syntactic mode), and
-//     summarizes content as a Bloom filter over ontology URIs.
+//     summarizes content (summary::RoutingSummary: a Bloom filter over
+//     ontology URIs, or the exact concept-code summary).
 //   * Discover — the client queries its vicinity directory. The directory
 //     answers locally; if the request is not fully satisfied it forwards it
-//     — in S-Ariadne only to peer directories whose Bloom summaries cover
-//     the request's ontology set; in Ariadne to every directory — then
-//     aggregates replies and responds.
+//     — in S-Ariadne only to peer directories whose summaries admit the
+//     request; in Ariadne to every directory — then aggregates replies and
+//     responds.
 //
 // Local directory compute (parse/classify/match) is measured in real
 // milliseconds and charged as virtual service time, so end-to-end response
@@ -43,7 +44,7 @@
 #include "directory/syntactic_directory.hpp"
 #include "reasoner/knowledge_base.hpp"
 #include "obs/metrics.hpp"
-#include "summary/interval_summary.hpp"
+#include "summary/routing_summary.hpp"
 #include "support/result.hpp"
 #include "support/rng.hpp"
 
@@ -298,11 +299,18 @@ private:
     void close_election(net::NodeId initiator);
     void become_directory(net::NodeId node);
     void directory_advertise(net::NodeId node);
+    /// Sends peers what RoutingSummary::push says they need, if anything.
     void push_summary(net::NodeId directory);
-    /// Interval-backend push: full "summary-bitmap" on the first push,
-    /// then "summary-delta" since the last pushed version unless the delta
-    /// image would outweigh the snapshot.
-    void push_exact_summary(net::NodeId directory);
+    /// Pushes after publishes that moved the summary version (peers would
+    /// otherwise route on stale coverage) and every summary_push_every
+    /// publishes.
+    void after_publishes(net::NodeId directory, std::uint64_t version_before,
+                         std::size_t published);
+    void pull_summary(net::NodeId self, net::NodeId peer);
+    /// Unicasts a summary image in the message its kind travels as.
+    void send_summary(net::NodeId from, net::NodeId to, summary::Image image);
+    void receive_summary(net::NodeId self, net::NodeId from,
+                         const summary::ImageView& image);
     void handle_message(net::NodeId self, const net::Message& msg);
     /// Unicasts `payload` as a message whose type follows from it.
     void send(net::NodeId from, net::NodeId to, wire::Payload payload);
@@ -313,7 +321,7 @@ private:
     void handle_forward_reply(net::NodeId self, const net::Message& msg);
     void finish_request(net::NodeId directory_node, PendingRequest& pending);
     /// Peer directories an unsatisfied request goes to; none while the node
-    /// holds no peer summary of the configured backend. S-Ariadne routes on
+    /// holds no peer summary. S-Ariadne routes on
     /// the prepared_request memo entry local_query just filled for
     /// `document`, so the document is not parsed a second time.
     std::vector<net::NodeId> forward_targets(net::NodeId self,

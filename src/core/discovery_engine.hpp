@@ -61,7 +61,7 @@ public:
         : kb_(std::make_unique<encoding::KnowledgeBase>(params)),
           metrics_(std::make_unique<obs::MetricsRegistry>()),
           directory_(std::make_unique<directory::SemanticDirectory>(
-              *kb_, bloom::BloomParams{}, metrics_.get())) {
+              *kb_, directory::SummaryConfig{}, metrics_.get())) {
         engine_metrics_.discoveries = &metrics_->counter(obs::names::kEngineDiscoveries);
         engine_metrics_.discoveries_parallel =
             &metrics_->counter(obs::names::kEngineDiscoveriesParallel);

@@ -56,16 +56,6 @@ std::vector<ResolvedCapability> resolve_request(
     return result;
 }
 
-std::vector<std::string> ontology_uris(const ResolvedCapability& capability,
-                                       const onto::OntologyRegistry& registry) {
-    std::vector<std::string> uris;
-    uris.reserve(capability.ontologies.size());
-    for (const OntologyIndex index : capability.ontologies) {
-        uris.push_back(registry.at(index).uri());
-    }
-    return uris;
-}
-
 void attach_code_signature(ResolvedCapability& capability,
                            encoding::KnowledgeBase& kb) {
     CodeSignature signature;

@@ -32,11 +32,6 @@ std::vector<ResolvedCapability> resolve_provided(
 std::vector<ResolvedCapability> resolve_request(
     const ServiceRequest& request, const onto::OntologyRegistry& registry);
 
-/// The URIs of the ontologies a resolved capability draws from, in
-/// registry order — used to key Bloom-filter summaries.
-std::vector<std::string> ontology_uris(const ResolvedCapability& capability,
-                                       const onto::OntologyRegistry& registry);
-
 /// Builds `capability.signature` from the knowledge base's current code
 /// tables (building tables lazily as needed). Overwrites any previous
 /// signature; the result carries the knowledge base's environment tag for

@@ -24,25 +24,22 @@ PublishReceipt SemanticDirectory::publish_xml(std::string_view xml_text) {
 namespace {
 
 /// Everything publish derives from one description before touching shared
-/// state — resolution, version check, summary URI sets and the DAG
+/// state — resolution, version check, summary contributions and the DAG
 /// signatures the removal path will need later.
 struct PreparedService {
     desc::ServiceDescription description;
     std::vector<desc::ResolvedCapability> provided;
-    std::vector<std::vector<std::string>> uri_sets;
     std::vector<FlatSet<onto::OntologyIndex>> signatures;
-    std::vector<summary::CapabilityProjection> projections;
+    std::vector<summary::Contribution> contributions;
     ServiceId id = 0;
 };
 
 PreparedService prepare_service(desc::ServiceDescription service,
                                 encoding::KnowledgeBase& kb,
-                                bool project_codes) {
+                                const summary::RoutingSummary& summary) {
     PreparedService prepared;
     prepared.provided = desc::resolve_provided(service, kb);
-    prepared.uri_sets.reserve(prepared.provided.size());
     prepared.signatures.reserve(prepared.provided.size());
-    if (project_codes) prepared.projections.reserve(prepared.provided.size());
     for (const auto& cap : prepared.provided) {
         // §3.2 consistency: a description carrying pre-computed codes must
         // have been encoded against the current ontology versions (the
@@ -55,27 +52,11 @@ PreparedService prepare_service(desc::ServiceDescription service,
                 "' carries codes for a stale ontology version — the "
                 "advertiser must refresh its codes");
         }
-        prepared.uri_sets.push_back(desc::ontology_uris(cap, kb.registry()));
         prepared.signatures.push_back(cap.ontologies);
-        if (project_codes) {
-            prepared.projections.push_back(summary::project_capability(cap, kb));
-        }
     }
+    prepared.contributions = summary.contribute(prepared.provided, kb);
     prepared.description = std::move(service);
     return prepared;
-}
-
-/// Refcount key for one capability's ontology-URI set. The URIs come out
-/// of resolution in a deterministic order, so identical sets always map to
-/// the same key; an order-sensitive false distinction is harmless (it can
-/// only trigger a spare rebuild, never skip a needed one).
-std::string uri_set_key(const std::vector<std::string>& uris) {
-    std::string key;
-    for (const std::string& uri : uris) {
-        key += uri;
-        key += '\n';
-    }
-    return key;
 }
 
 }  // namespace
@@ -85,9 +66,8 @@ PublishReceipt SemanticDirectory::publish(desc::ServiceDescription service) {
     // Resolve (with flat-layout code signatures attached) and version-check
     // before touching any shared state: a rejected description leaves the
     // directory untouched.
-    PreparedService prepared = prepare_service(
-        std::move(service), *kb_,
-        summary_backend_ == summary::SummaryBackend::kInterval);
+    PreparedService prepared =
+        prepare_service(std::move(service), *kb_, summary_);
 
     // Re-advertisement: a service is identified by its name; a fresh
     // description replaces the cached one (services periodically re-publish
@@ -97,8 +77,7 @@ PublishReceipt SemanticDirectory::publish(desc::ServiceDescription service) {
     const std::string name = prepared.description.profile.service_name;
     ServiceId replaced = 0;
     std::vector<FlatSet<OntologyIndex>> replaced_signatures;
-    std::vector<std::vector<std::string>> replaced_uri_sets;
-    std::vector<summary::CapabilityProjection> replaced_projections;
+    std::vector<summary::Contribution> replaced_contributions;
     ServiceId id = 0;
     {
         std::unique_lock lock(services_mutex_);
@@ -107,47 +86,24 @@ PublishReceipt SemanticDirectory::publish(desc::ServiceDescription service) {
             replaced = named->second;
             const auto it = services_.find(replaced);
             replaced_signatures = std::move(it->second.signatures);
-            replaced_uri_sets = std::move(it->second.summary_uri_sets);
-            replaced_projections = std::move(it->second.projections);
+            replaced_contributions = std::move(it->second.contributions);
             services_.erase(it);
         }
         id = next_id_.fetch_add(1, std::memory_order_acq_rel);
         services_.emplace(id,
                           StoredService{std::move(prepared.description),
-                                        prepared.uri_sets,
                                         prepared.signatures,
-                                        prepared.projections});
+                                        prepared.contributions});
         by_name_[name] = id;
     }
     if (replaced != 0) dags_.remove_service(replaced, replaced_signatures);
 
     {
+        // A rebuild walks the table, which already holds the new service
+        // and no longer the replaced one.
         std::lock_guard lock(summary_mutex_);
-        // Retain before release so a set the replacement still uses never
-        // transiently drops to zero holders.
-        retain_uri_sets_locked(prepared.uri_sets);
-        if (replaced != 0 && release_uri_sets_locked(replaced_uri_sets)) {
-            rebuild_summary_locked();
-        } else {
-            for (const auto& uris : prepared.uri_sets) {
-                summary_.insert_ontology_set(uris);
-            }
-        }
-        if (summary_backend_ == summary::SummaryBackend::kInterval) {
-            if (exact_tag_conflict_locked(prepared.projections)) {
-                // Codes crossed a table generation: re-project everything
-                // (the table already holds the new service, so the rebuild
-                // covers it; the replaced one is already gone).
-                rebuild_interval_summary_locked();
-            } else {
-                for (const auto& proj : prepared.projections) {
-                    exact_summary_.retain_projection(proj);
-                }
-                for (const auto& proj : replaced_projections) {
-                    exact_summary_.release_projection(proj);
-                }
-            }
-        }
+        rebuild_summary_locked(summary_.update({&prepared.contributions},
+                                               {&replaced_contributions}));
     }
 
     matching::EncodedOracle oracle(*kb_);
@@ -179,11 +135,8 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
     // one bad description rejects the batch with the directory untouched.
     std::vector<PreparedService> prepared;
     prepared.reserve(batch.size());
-    const bool project_codes =
-        summary_backend_ == summary::SummaryBackend::kInterval;
     for (auto& service : batch) {
-        prepared.push_back(
-            prepare_service(std::move(service), *kb_, project_codes));
+        prepared.push_back(prepare_service(std::move(service), *kb_, summary_));
     }
 
     // One critical section updates the service table for every member.
@@ -192,8 +145,7 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
     struct Replaced {
         ServiceId id;
         std::vector<FlatSet<OntologyIndex>> signatures;
-        std::vector<std::vector<std::string>> uri_sets;
-        std::vector<summary::CapabilityProjection> projections;
+        std::vector<summary::Contribution> contributions;
     };
     std::vector<Replaced> replaced;
     std::size_t fresh_names = 0;
@@ -206,8 +158,7 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
                 const auto it = services_.find(named->second);
                 replaced.push_back(
                     Replaced{named->second, std::move(it->second.signatures),
-                             std::move(it->second.summary_uri_sets),
-                             std::move(it->second.projections)});
+                             std::move(it->second.contributions)});
                 services_.erase(it);
             } else {
                 ++fresh_names;
@@ -215,63 +166,23 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
             p.id = next_id_.fetch_add(1, std::memory_order_acq_rel);
             services_.emplace(p.id,
                               StoredService{std::move(p.description),
-                                            p.uri_sets,
                                             p.signatures,
-                                            p.projections});
+                                            p.contributions});
             by_name_[name] = p.id;
         }
     }
     for (const auto& r : replaced) dags_.remove_service(r.id, r.signatures);
 
-    // Summary maintenance, at most once per batch: every member retains
-    // its URI sets, every replaced service (pre-batch or superseded inside
-    // the batch) releases its own. The batch only needs the full rebuild
-    // when some replaced service held the last reference to a set (Bloom
-    // filters cannot subtract); otherwise the new sets fold in additively.
+    // Summary maintenance, once per batch: every member counts in, every
+    // replaced service (pre-batch or superseded inside the batch) counts
+    // out, and at most one rebuild follows.
     {
+        summary::ContributionLists added;
+        summary::ContributionLists removed;
+        for (const auto& p : prepared) added.push_back(&p.contributions);
+        for (const auto& r : replaced) removed.push_back(&r.contributions);
         std::lock_guard summary_lock(summary_mutex_);
-        // Retain before release: a set carried over from a replaced
-        // service to its replacement never transiently reaches zero.
-        for (const auto& p : prepared) retain_uri_sets_locked(p.uri_sets);
-        bool needs_rebuild = false;
-        for (const auto& r : replaced) {
-            if (release_uri_sets_locked(r.uri_sets)) needs_rebuild = true;
-        }
-        if (needs_rebuild) {
-            rebuild_summary_locked();
-        } else {
-            for (const auto& p : prepared) {
-                for (const auto& uris : p.uri_sets) {
-                    summary_.insert_ontology_set(uris);
-                }
-            }
-        }
-        if (summary_backend_ == summary::SummaryBackend::kInterval) {
-            bool conflict = false;
-            for (const auto& p : prepared) {
-                if (exact_tag_conflict_locked(p.projections)) {
-                    conflict = true;
-                    break;
-                }
-            }
-            if (conflict) {
-                rebuild_interval_summary_locked();
-            } else {
-                // Same retain-before-release discipline as the URI sets:
-                // codes carried from a replaced service to its replacement
-                // never transiently drop to zero.
-                for (const auto& p : prepared) {
-                    for (const auto& proj : p.projections) {
-                        exact_summary_.retain_projection(proj);
-                    }
-                }
-                for (const auto& r : replaced) {
-                    for (const auto& proj : r.projections) {
-                        exact_summary_.release_projection(proj);
-                    }
-                }
-            }
-        }
+        rebuild_summary_locked(summary_.update(added, removed));
     }
 
     // Members superseded inside their own batch never reach the DAGs
@@ -319,8 +230,7 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
 
 bool SemanticDirectory::remove(ServiceId service) {
     std::vector<FlatSet<OntologyIndex>> signatures;
-    std::vector<std::vector<std::string>> uri_sets;
-    std::vector<summary::CapabilityProjection> projections;
+    std::vector<summary::Contribution> contributions;
     {
         std::unique_lock lock(services_mutex_);
         const auto it = services_.find(service);
@@ -331,20 +241,13 @@ bool SemanticDirectory::remove(ServiceId service) {
             by_name_.erase(named);
         }
         signatures = std::move(it->second.signatures);
-        uri_sets = std::move(it->second.summary_uri_sets);
-        projections = std::move(it->second.projections);
+        contributions = std::move(it->second.contributions);
         services_.erase(it);
     }
     dags_.remove_service(service, signatures);
     {
         std::lock_guard lock(summary_mutex_);
-        if (release_uri_sets_locked(uri_sets)) rebuild_summary_locked();
-        // Exact-summary removal is refcount-exact: no rebuild, ever. The
-        // cached projections are kept consistent with the summary's table
-        // generation by the publish-path conflict check.
-        for (const auto& proj : projections) {
-            exact_summary_.release_projection(proj);
-        }
+        rebuild_summary_locked(summary_.update({}, {&contributions}));
     }
     if (metrics_.removals) metrics_.removals->inc();
     if (metrics_.services) metrics_.services->sub(1);
@@ -651,105 +554,39 @@ std::optional<desc::Grounding> SemanticDirectory::grounding(ServiceId id) const 
     return it->second.description.grounding;
 }
 
-bloom::BloomFilter SemanticDirectory::summary() const {
+summary::RoutingSummary SemanticDirectory::summary() const {
     std::lock_guard lock(summary_mutex_);
-    return summary_;
+    return summary_.snapshot();
 }
 
-void SemanticDirectory::rebuild_summary() {
-    std::lock_guard summary_lock(summary_mutex_);
-    rebuild_summary_locked();
-}
-
-void SemanticDirectory::rebuild_summary_locked() {
-    if (metrics_.summary_rebuilds) metrics_.summary_rebuilds->inc();
-    // Lock order (summary before services-shared) matches every other path
-    // that holds both; publish touches them one at a time.
-    std::shared_lock services_lock(services_mutex_);
-    summary_.clear();
-    // The per-capability ontology-URI sets were resolved once at publish
-    // time and cached with the description, so a rebuild is a pure
-    // re-insertion — no parsing or resolution per stored service.
-    for (const auto& [id, stored] : services_) {
-        for (const auto& uris : stored.summary_uri_sets) {
-            summary_.insert_ontology_set(uris);
-        }
-    }
-}
-
-void SemanticDirectory::retain_uri_sets_locked(
-    const std::vector<std::vector<std::string>>& sets) {
-    for (const auto& uris : sets) ++summary_refcounts_[uri_set_key(uris)];
-}
-
-bool SemanticDirectory::release_uri_sets_locked(
-    const std::vector<std::vector<std::string>>& sets) {
-    bool lost = false;
-    for (const auto& uris : sets) {
-        const auto it = summary_refcounts_.find(uri_set_key(uris));
-        if (it == summary_refcounts_.end()) {
-            // Unknown set: never counted in (should not happen). Rebuild
-            // defensively rather than risk a stale filter.
-            lost = true;
-            continue;
-        }
-        if (--it->second == 0) {
-            summary_refcounts_.erase(it);
-            lost = true;
-        }
-    }
-    return lost;
-}
-
-summary::IntervalSummary SemanticDirectory::interval_summary() const {
+std::uint64_t SemanticDirectory::summary_version() const {
     std::lock_guard lock(summary_mutex_);
-    return exact_summary_.snapshot();
-}
-
-std::uint64_t SemanticDirectory::interval_summary_version() const {
-    std::lock_guard lock(summary_mutex_);
-    return exact_summary_.version();
-}
-
-std::size_t SemanticDirectory::interval_code_count() const {
-    std::lock_guard lock(summary_mutex_);
-    return exact_summary_.code_count();
+    return summary_.version();
 }
 
 std::size_t SemanticDirectory::summary_refcount_entries() const {
     std::lock_guard lock(summary_mutex_);
-    return summary_refcounts_.size();
+    return summary_.refcount_entries();
 }
 
-bool SemanticDirectory::exact_tag_conflict_locked(
-    const std::vector<summary::CapabilityProjection>& projections) const {
-    for (const auto& proj : projections) {
-        if (exact_summary_.tag_conflict(proj)) return true;
-    }
-    return false;
-}
-
-void SemanticDirectory::rebuild_interval_summary_locked() {
+void SemanticDirectory::rebuild_summary_locked(summary::Rebuild how) {
+    if (how == summary::Rebuild::kNone) return;
     if (metrics_.summary_rebuilds) metrics_.summary_rebuilds->inc();
-    // Unlike the Bloom rebuild, this one re-resolves every description:
-    // the trigger is a code-table generation change, which invalidates the
-    // cached canonical codes themselves, not just the summary. It takes
-    // the service table exclusively (same summary→services lock order as
-    // rebuild_summary_locked) so the refreshed projections can be written
-    // back. Rare by design — ontology registration is quiesced.
+    // Lock order (summary before services) matches every other path that
+    // holds both; publish touches them one at a time. Reprojection is rare
+    // by design: its trigger, a code-table generation change, needs an
+    // ontology registration, and those are quiesced.
     std::unique_lock services_lock(services_mutex_);
-    exact_summary_.clear_retaining_version();
+    summary::ContributionLists live;
+    live.reserve(services_.size());
     for (auto& [id, stored] : services_) {
-        stored.projections.clear();
-        const auto resolved = desc::resolve_provided(stored.description, *kb_);
-        stored.projections.reserve(resolved.size());
-        for (const auto& cap : resolved) {
-            stored.projections.push_back(summary::project_capability(cap, *kb_));
+        if (how == summary::Rebuild::kReproject) {
+            stored.contributions = summary_.contribute(
+                desc::resolve_provided(stored.description, *kb_), *kb_);
         }
-        for (const auto& proj : stored.projections) {
-            exact_summary_.retain_projection(proj);
-        }
+        live.push_back(&stored.contributions);
     }
+    summary_.rebuild(live);
 }
 
 }  // namespace sariadne::directory

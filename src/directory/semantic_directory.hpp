@@ -3,8 +3,9 @@
 // into ontology-indexed capability DAGs at *publish* time (parse once,
 // resolve once, no reasoning on the query path), and answers requests by
 // probing DAG roots with interval-code matching. Also maintains the
-// Bloom-filter summary of its content that the distributed protocol
-// exchanges between directories.
+// routing summary of its content (summary::RoutingSummary, Bloom or exact
+// per SummaryConfig) that the distributed protocol exchanges between
+// directories.
 //
 // Thread safety: publish / publish_xml / remove / query* /
 // query_capability and the introspection counters may be called from any
@@ -12,7 +13,7 @@
 // with per-shard reader–writer locks (see DagIndex), so queries — pure
 // reads over interval codes — run fully in parallel and only contend
 // with publishes touching the same shard; the service table and the
-// Bloom summary carry their own locks. Two operations are excluded from
+// routing summary carry their own locks. Two operations are excluded from
 // the guarantee and require quiescence: registering/upgrading ontologies
 // in the shared KnowledgeBase, and retaining the pointer returned by
 // service() across a concurrent remove/re-publish of that service.
@@ -36,7 +37,7 @@
 #include "matching/oracles.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "summary/interval_summary.hpp"
+#include "summary/routing_summary.hpp"
 #include "support/lock_rank.hpp"
 
 namespace sariadne::directory {
@@ -58,22 +59,11 @@ struct QueryResult {
     }
 };
 
-/// Which routing summary the directory maintains. The Bloom filter is
-/// always kept (it is the default wire format and the state-transfer
-/// snapshot); selecting the interval backend additionally maintains the
-/// exact concept-code summary that the protocol pushes instead.
+/// Which routing summary the directory maintains — only that one.
+/// `bloom` sizes the filter of the Bloom backend.
 struct SummaryConfig {
     summary::SummaryBackend backend = summary::SummaryBackend::kBloom;
     bloom::BloomParams bloom{};
-
-    SummaryConfig() = default;
-    /// Implicit from BloomParams so legacy `SemanticDirectory(kb, params)`
-    /// call sites keep compiling (and keep the Bloom backend).
-    SummaryConfig(bloom::BloomParams bloom_params)  // NOLINT(runtime/explicit)
-        : bloom(bloom_params) {}
-    SummaryConfig(summary::SummaryBackend backend_,
-                  bloom::BloomParams bloom_params = {})
-        : backend(backend_), bloom(bloom_params) {}
 };
 
 class SemanticDirectory {
@@ -90,8 +80,7 @@ public:
                                DagTuning tuning = {})
         : kb_(&kb),
           dags_(DagIndex::kDefaultShardCount, tuning),
-          summary_(summary_config.bloom),
-          summary_backend_(summary_config.backend) {
+          summary_(summary_config.backend, summary_config.bloom) {
         if (metrics != nullptr) {
             metrics_.registry = metrics;
             metrics_.publishes = &metrics->counter(obs::names::kDirectoryPublishes);
@@ -141,10 +130,8 @@ public:
     /// and version-checked up front (a rejected one throws before any
     /// shared state changes), the service table is updated in a single
     /// critical section, the capability DAGs take one shard lock per shard
-    /// run (DagIndex::insert_batch), and the Bloom summary is refreshed at
-    /// most once for the whole batch — additively unless a replaced
-    /// service held the last reference to one of its URI sets, one
-    /// rebuild_summary() then — instead of once per
+    /// run (DagIndex::insert_batch), and the routing summary is updated
+    /// once for the whole batch (at most one rebuild) instead of once per
     /// publish. Receipts come back in batch order; insert_ms is the batch
     /// cost amortized per service. Later duplicates of a name inside the
     /// batch replace earlier ones, exactly as sequential publishes would.
@@ -231,38 +218,18 @@ public:
         return next_id_.load(std::memory_order_acquire);
     }
 
-    /// Snapshot of the Bloom summary of the ontology sets used by cached
-    /// capabilities (§4).
-    bloom::BloomFilter summary() const;
+    /// Snapshot (no refcounts) of the routing summary of cached content
+    /// (§4): what the protocol pushes and answers pulls with.
+    summary::RoutingSummary summary() const;
 
-    /// Which summary backend this directory maintains for routing.
-    summary::SummaryBackend summary_backend() const noexcept {
-        return summary_backend_;
-    }
+    /// RoutingSummary::version() — the protocol's cheap "peers must hear
+    /// about this" probe around a publish.
+    std::uint64_t summary_version() const;
 
-    /// Snapshot of the exact concept-code summary (no refcounts). Empty
-    /// unless the interval backend is selected.
-    summary::IntervalSummary interval_summary() const;
-
-    /// Content version of the exact summary — the protocol's cheap
-    /// "coverage changed since last push" probe. 0 under the Bloom backend.
-    std::uint64_t interval_summary_version() const;
-
-    /// Distinct (ontology, role, code) bits in the exact summary —
-    /// drain-to-zero churn assertions in tests.
-    std::size_t interval_code_count() const;
-
-    /// Live keys in the Bloom URI-set refcount map. Churn regression tests
-    /// pin this to baseline: zero-count keys must be erased on release or
-    /// long remove/republish runs grow the map unboundedly.
+    /// Live summary refcount keys. Churn regression tests pin this to
+    /// baseline: zero-count keys must be erased on release or long
+    /// remove/republish runs grow the map unboundedly.
     std::size_t summary_refcount_entries() const;
-
-    /// Rebuilds the summary from live content (after removals — Bloom
-    /// filters do not support deletion). Removal paths call this only when
-    /// a departing service held the last reference to one of its URI sets;
-    /// otherwise the filter provably did not change and the O(services)
-    /// walk is skipped (see summary_refcounts_).
-    void rebuild_summary();
 
     /// Snapshot of the cumulative match statistics across all operations.
     MatchStats lifetime_stats() const noexcept;
@@ -290,29 +257,12 @@ private:
     void apply_require_all(QueryResult& result,
                            const QueryOptions& options) const;
 
-    /// rebuild_summary() with summary_mutex_ already held by the caller
-    /// (takes services_mutex_ shared internally).
-    void rebuild_summary_locked();
-    /// Counts URI sets into / out of summary_refcounts_. Callers hold
-    /// summary_mutex_. release returns true when some set lost its last
-    /// holder — the Bloom summary now over-approximates and needs a
-    /// rebuild before the next push.
-    void retain_uri_sets_locked(
-        const std::vector<std::vector<std::string>>& sets);
-    bool release_uri_sets_locked(
-        const std::vector<std::vector<std::string>>& sets);
-
-    /// True when some projection was produced under a different code-table
-    /// generation than the exact summary's entries — the env-tag
-    /// invalidation trigger. Caller holds summary_mutex_.
-    bool exact_tag_conflict_locked(
-        const std::vector<summary::CapabilityProjection>& projections) const;
-
-    /// Re-resolves every cached service against the current knowledge base,
-    /// refreshes the cached projections, and rebuilds the exact summary
-    /// from scratch (env-tag invalidation path). Caller holds
-    /// summary_mutex_; takes services_mutex_ unique internally.
-    void rebuild_interval_summary_locked();
+    /// Carries out what RoutingSummary::update asked for: nothing, a
+    /// rebuild from the cached contributions, or a rebuild that first
+    /// re-resolves every cached service (its code tables moved). Caller
+    /// holds summary_mutex_; takes services_mutex_ unique internally, since
+    /// a reprojection writes the refreshed contributions back.
+    void rebuild_summary_locked(summary::Rebuild how);
 
     /// Cached registry handles; all null when uninstrumented.
     struct Metrics {
@@ -340,25 +290,21 @@ private:
     Metrics metrics_;
     DagIndex dags_;
 
-    /// A cached description plus what publish resolved from it: the
-    /// ontology-URI set of each provided capability (so rebuild_summary()
-    /// re-feeds the Bloom filter without re-resolving — it used to be
-    /// O(services × resolve)) and the ontology signatures the capabilities
-    /// were classified under (so a removal only visits the DAG shards the
-    /// service actually touched instead of the whole index).
+    /// A cached description plus what publish resolved from it: each
+    /// provided capability's summary contribution (so removal and rebuilds
+    /// never re-resolve — a rebuild used to be O(services × resolve)) and
+    /// the ontology signatures the capabilities were classified under (so
+    /// a removal only visits the DAG shards the service actually touched
+    /// instead of the whole index).
     struct StoredService {
         desc::ServiceDescription description;
-        std::vector<std::vector<std::string>> summary_uri_sets;
         std::vector<FlatSet<OntologyIndex>> signatures;
-        /// Per-capability provided-side code projections (interval backend
-        /// only) — lets remove/replace release exact-summary codes without
-        /// re-resolving the description.
-        std::vector<summary::CapabilityProjection> projections;
+        std::vector<summary::Contribution> contributions;
     };
 
-    /// Guards services_ and by_name_. Ranked above summary:
-    /// rebuild_summary holds the summary lock while it walks the table
-    /// under this one (shared).
+    /// Guards services_ and by_name_. Ranked above summary: a summary
+    /// rebuild holds the summary lock while it walks the table under this
+    /// one.
     mutable support::RankedSharedMutex services_mutex_{
         support::LockRank::kDirectoryServices};
     std::unordered_map<ServiceId, StoredService> services_;
@@ -371,20 +317,9 @@ private:
     /// Guards summary_; the outermost directory lock (see services_mutex_).
     mutable support::RankedMutex summary_mutex_{
         support::LockRank::kDirectorySummary};
-    bloom::BloomFilter summary_;
-    /// How many live services feed each distinct capability URI set into
-    /// the summary (keyed by the set's joined form; guarded by
-    /// summary_mutex_). Under churn the same ontology sets repeat across
-    /// thousands of services, so most removals release no last reference
-    /// and keep the filter as-is instead of paying the O(services)
-    /// rebuild.
-    std::unordered_map<std::string, std::uint64_t> summary_refcounts_;
-    /// Exact concept-code summary (interval backend only; guarded by
-    /// summary_mutex_). Carries its own per-(ontology, role, code)
-    /// refcounts, so removals release exactly and never rebuild unless a
-    /// code-table generation change invalidates the projections.
-    summary::IntervalSummary exact_summary_;
-    const summary::SummaryBackend summary_backend_;
+    /// Refcounted, so most removals under churn release no last holder and
+    /// skip the O(services) rebuild.
+    summary::RoutingSummary summary_;
 
     /// Lifetime counters, relaxed — totals are exact once writers quiesce.
     mutable std::atomic<std::uint64_t> lifetime_capability_matches_{0};

@@ -135,20 +135,6 @@ bool IntervalSummary::covers(const RequestProbe& probe) const {
     return true;
 }
 
-void IntervalSummary::merge(const IntervalSummary& other) {
-    for (const Entry& theirs : other.entries_) {
-        const bool existed = find_entry(theirs.uri) != nullptr;
-        Entry& mine = find_or_insert(theirs.uri, theirs.code_tag);
-        if (existed && mine.code_tag != theirs.code_tag) {
-            mine.code_tag = 0;  // mixed table generations: go conservative
-        }
-        for (int r = 0; r < kRoleCount; ++r) {
-            mine.bits[r].merge(theirs.bits[r]);
-        }
-    }
-    version_ = std::max(version_, other.version_);
-}
-
 DeltaApply IntervalSummary::apply_delta(const SummaryDelta& delta) {
     if (version_ == delta.new_version) return DeltaApply::kDuplicate;
     if (version_ != delta.base_version) return DeltaApply::kGap;

@@ -39,12 +39,6 @@ class KnowledgeBase;
 
 namespace sariadne::summary {
 
-/// Which backend a SemanticDirectory maintains for routing summaries.
-enum class SummaryBackend : std::uint8_t {
-    kBloom = 0,     ///< ontology-URI Bloom filter (default, PR 2 behavior)
-    kInterval = 1,  ///< exact concept-code interval bitmap (this module)
-};
-
 /// Which side of a capability a code was projected from. Outputs and
 /// properties are summarized separately because the match kernel tests
 /// them against separate provided-side clauses.
@@ -110,9 +104,8 @@ class IntervalSummary {
 public:
     struct Entry {
         std::string uri;
-        /// Code-table version tag the bitmaps were projected under; 0 marks
-        /// a mixed-tag aggregate (merge of summaries built under different
-        /// tags) and forces `covers` conservative for this ontology.
+        /// Code-table version tag the bitmaps were projected under; 0 (no
+        /// directory projects under it) forces `covers` conservative.
         std::uint64_t code_tag = 0;
         std::array<SparseBitmap, kRoleCount> bits;
         /// code → holder count; only populated on directory-maintained
@@ -147,12 +140,6 @@ public:
     /// service can fully satisfy the probed request. Tag-mismatched entries
     /// are treated as covering (stale codes can exclude nothing).
     bool covers(const RequestProbe& probe) const;
-
-    /// Backbone aggregation: in-place union of bitmaps. Entries whose tags
-    /// disagree degrade to tag 0 (conservative). Refcounts are not merged —
-    /// aggregates are read-only routing state. The version becomes the max
-    /// of the two inputs.
-    void merge(const IntervalSummary& other);
 
     /// Applies a word-granular delta. Only kApplied mutates the summary.
     DeltaApply apply_delta(const SummaryDelta& delta);

@@ -3,7 +3,7 @@
 // summaries", cbtSparseBitmap-style). Five fixed-fanout-64 levels cover a
 // 2^30-bit universe; level 0 holds the payload words and every upper level
 // holds one guard bit per nonzero word below it, so set/clear propagate at
-// most `kLevels` steps and merge/intersect walk words, never bits. Each
+// most `kLevels` steps and diffs walk words, never bits. Each
 // level is a sorted flat vector of {word_index, word} slots: populations
 // here are concept codes held by one directory (hundreds to a few
 // thousand), where binary-searched compact vectors beat pointer tries on
@@ -123,25 +123,6 @@ public:
         leaves.insert(it, Slot{word_index, word});
         set_guards_above(word_index);
         return true;
-    }
-
-    /// In-place union. Guards of a union are the union of guards, so every
-    /// level merges independently word-at-a-time.
-    void merge(const SparseBitmap& other) {
-        for (int level = 0; level < kLevels; ++level) {
-            merge_level(levels_[level], other.levels_[level]);
-        }
-    }
-
-    /// True iff the two bitmaps share a set bit. Guard levels provide the
-    /// early-out: disjoint guards at any level prove disjoint leaves.
-    bool intersects(const SparseBitmap& other) const noexcept {
-        for (int level = kLevels - 1; level > 0; --level) {
-            if (!slots_intersect(levels_[level], other.levels_[level])) {
-                return false;
-            }
-        }
-        return slots_intersect(levels_[0], other.levels_[0]);
     }
 
     /// True iff any of the given (sorted or not) codes is set.
@@ -271,51 +252,6 @@ private:
                 }
             }
         }
-    }
-
-    static void merge_level(std::vector<Slot>& into,
-                            const std::vector<Slot>& from) {
-        if (from.empty()) return;
-        if (into.empty()) {
-            into = from;
-            return;
-        }
-        std::vector<Slot> merged;
-        merged.reserve(into.size() + from.size());
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < into.size() && b < from.size()) {
-            if (into[a].index < from[b].index) {
-                merged.push_back(into[a++]);
-            } else if (from[b].index < into[a].index) {
-                merged.push_back(from[b++]);
-            } else {
-                merged.push_back(Slot{into[a].index, into[a].word | from[b].word});
-                ++a;
-                ++b;
-            }
-        }
-        for (; a < into.size(); ++a) merged.push_back(into[a]);
-        for (; b < from.size(); ++b) merged.push_back(from[b]);
-        into = std::move(merged);
-    }
-
-    static bool slots_intersect(const std::vector<Slot>& a,
-                                const std::vector<Slot>& b) noexcept {
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < a.size() && j < b.size()) {
-            if (a[i].index < b[j].index) {
-                ++i;
-            } else if (b[j].index < a[i].index) {
-                ++j;
-            } else {
-                if ((a[i].word & b[j].word) != 0) return true;
-                ++i;
-                ++j;
-            }
-        }
-        return false;
     }
 
     /// levels_[0] holds payload words; levels_[l>0] hold guard bits over

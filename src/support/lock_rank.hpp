@@ -20,7 +20,7 @@
 //   kTransportQueue       net::EventLoopTransport::post_mutex_
 //
 // The two real multi-lock paths this encodes:
-//   * SemanticDirectory::rebuild_summary holds summary before services;
+//   * a SemanticDirectory summary rebuild holds summary before services;
 //   * a DAG probe holds its shard lock while the oracle faults in a code
 //     table (KnowledgeBase reader lock), whose first build classifies
 //     under the TaxonomyCache mutex.

@@ -5,7 +5,7 @@
 // must stay *coherent*: every request lands in exactly one terminal bin,
 // retry and publish backlogs drain to zero, no service is permanently
 // lost while its provider is up, and the same seed replays byte-identical
-// traffic.
+// traffic. The soak runs over both summary backends.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,9 +32,10 @@ encoding::KnowledgeBase make_kb() {
     return kb;
 }
 
-ProtocolConfig chaos_config() {
+ProtocolConfig chaos_config(summary::SummaryBackend backend) {
     ProtocolConfig config;
     config.protocol = Protocol::kSAriadne;
+    config.summary_backend = backend;
     config.adv_period_ms = 500;
     config.adv_timeout_ms = 1500;
     config.election_wait_ms = 30;
@@ -74,10 +75,11 @@ struct ChaosRun {
     bool final_probe_satisfied = false;
 };
 
-ChaosRun run_chaos(std::uint64_t seed) {
+ChaosRun run_chaos(std::uint64_t seed, summary::SummaryBackend backend =
+                                           summary::SummaryBackend::kBloom) {
     auto kb = make_kb();
     obs::MetricsRegistry registry;
-    DiscoveryNetwork network(Topology::grid(4, 4), chaos_config(), kb,
+    DiscoveryNetwork network(Topology::grid(4, 4), chaos_config(backend), kb,
                              &registry);
     sim(network).set_faults(chaos_plan(seed));
     network.appoint_directory(5);
@@ -129,8 +131,18 @@ ChaosRun run_chaos(std::uint64_t seed) {
     return out;
 }
 
-TEST(Chaos, SoakKeepsAccountingCoherentAndHeals) {
-    const ChaosRun run = run_chaos(0xC4A05);
+class ChaosSoak : public ::testing::TestWithParam<summary::SummaryBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ChaosSoak,
+    ::testing::Values(summary::SummaryBackend::kBloom,
+                      summary::SummaryBackend::kInterval),
+    [](const auto& param_info) {
+        return th::backend_name(param_info.param);
+    });
+
+TEST_P(ChaosSoak, KeepsAccountingCoherentAndHeals) {
+    const ChaosRun run = run_chaos(0xC4A05, GetParam());
 
     // The radio really was hostile.
     EXPECT_GT(run.traffic.faults_dropped, 0u);

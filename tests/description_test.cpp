@@ -4,6 +4,7 @@
 #include "description/resolved.hpp"
 #include "description/wsdl.hpp"
 #include "ontology/registry.hpp"
+#include "summary/routing_summary.hpp"
 #include "support/errors.hpp"
 #include "test_helpers.hpp"
 
@@ -116,7 +117,7 @@ TEST(Resolved, ResolvesAllConceptsAndOntologySet) {
     EXPECT_TRUE(resolved.ontologies.contains(server_idx));
     EXPECT_EQ(resolved.ontologies.size(), 2u);
 
-    const auto uris = ontology_uris(resolved, registry);
+    const auto uris = summary::ontology_uris(resolved, registry);
     EXPECT_EQ(uris.size(), 2u);
 }
 

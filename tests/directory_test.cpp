@@ -243,13 +243,13 @@ TEST_F(DirectoryFixture, RemoveWithdrawsService) {
 }
 
 TEST_F(DirectoryFixture, SummaryTracksContent) {
-    EXPECT_EQ(directory_.summary().set_bit_count(), 0u);
+    EXPECT_EQ(directory_.summary().bloom()->set_bit_count(), 0u);
     const ServiceId id = directory_.publish(th::workstation_service()).id;
-    EXPECT_GT(directory_.summary().set_bit_count(), 0u);
+    EXPECT_GT(directory_.summary().bloom()->set_bit_count(), 0u);
     const std::vector<std::string> uris{th::kMediaUri, th::kServerUri};
-    EXPECT_TRUE(directory_.summary().possibly_covers(uris));
+    EXPECT_TRUE(directory_.summary().bloom()->possibly_covers(uris));
     directory_.remove(id);
-    EXPECT_EQ(directory_.summary().set_bit_count(), 0u);
+    EXPECT_EQ(directory_.summary().bloom()->set_bit_count(), 0u);
 }
 
 TEST_F(DirectoryFixture, PublishBatchMatchesSequentialPublishes) {
@@ -269,7 +269,7 @@ TEST_F(DirectoryFixture, PublishBatchMatchesSequentialPublishes) {
     ASSERT_EQ(receipts.size(), batch.size());
     EXPECT_EQ(directory_.service_count(), sequential.service_count());
     EXPECT_EQ(directory_.capability_count(), sequential.capability_count());
-    EXPECT_TRUE(directory_.summary() == sequential.summary());
+    EXPECT_TRUE(directory_.summary().bloom() == sequential.summary().bloom());
 
     desc::ServiceRequest request;
     request.capabilities.push_back(th::get_video_stream());
@@ -319,7 +319,7 @@ TEST_F(DirectoryFixture, PublishBatchRejectsWholeBatchOnBadMember) {
     EXPECT_THROW(directory_.publish_batch(std::move(batch)),
                  VersionMismatchError);
     EXPECT_EQ(directory_.service_count(), 0u);
-    EXPECT_EQ(directory_.summary().set_bit_count(), 0u);
+    EXPECT_EQ(directory_.summary().bloom()->set_bit_count(), 0u);
 }
 
 TEST_F(DirectoryFixture, RemovalSkipsSummaryRebuildWhileSetsStillHeld) {
@@ -335,7 +335,8 @@ TEST_F(DirectoryFixture, RemovalSkipsSummaryRebuildWhileSetsStillHeld) {
     survivor_only.publish(twin);
 
     EXPECT_TRUE(directory_.remove(first));
-    EXPECT_TRUE(directory_.summary() == survivor_only.summary());
+    EXPECT_TRUE(directory_.summary().bloom() ==
+                survivor_only.summary().bloom());
 }
 
 TEST_F(DirectoryFixture, UnsatisfiableRequestReturnsEmpty) {

@@ -8,6 +8,7 @@
 #include "net/sim_transport.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "description/amigos_io.hpp"
+#include "summary/summary_wire.hpp"
 #include "test_helpers.hpp"
 #include "workload/ontology_gen.hpp"
 #include "workload/service_gen.hpp"
@@ -103,33 +104,6 @@ TEST(SAriadne, PublishDiscoverRoundTrip) {
     EXPECT_EQ(outcome.hits[0].capability_name, "SendDigitalStream");
     EXPECT_EQ(outcome.hits[0].semantic_distance, 3);
     EXPECT_GT(outcome.response_time_ms(), 0.0);
-}
-
-TEST(SAriadne, RemoteDirectoryReachedViaBloomForwarding) {
-    auto kb = make_kb();
-    // Line topology: directories at both ends, vicinity 2 keeps them from
-    // hearing each other's advertisements directly.
-    DiscoveryNetwork network(Topology::grid(9, 1),
-                             fast_config(Protocol::kSAriadne), kb);
-    network.appoint_directory(0);
-    network.appoint_directory(8);
-    network.start();
-    network.run_for(100);
-
-    // Service lives near directory 8; client asks near directory 0.
-    network.publish_service(7,
-                            desc::serialize_service(th::workstation_service()));
-    network.run_for(3000);  // let summaries propagate
-
-    desc::ServiceRequest request;
-    request.capabilities.push_back(th::get_video_stream());
-    const auto id = network.discover(1, desc::serialize_request(request));
-    network.run_for(3000);
-
-    const DiscoveryOutcome& outcome = network.outcome(id);
-    ASSERT_TRUE(outcome.answered);
-    EXPECT_TRUE(outcome.satisfied);
-    EXPECT_GE(outcome.directories_asked, 1u);
 }
 
 TEST(SAriadne, BloomFilterPrunesIrrelevantDirectories) {
@@ -624,50 +598,6 @@ TEST(Protocol, WindowedRunsMatchOneLongRun) {
     EXPECT_EQ(windowed.traffic().deliveries, single.traffic().deliveries);
 }
 
-TEST(SAriadne, CorruptSummaryWireIsContainedAndCounted) {
-    // Regression: the summary-push handler fed peer-controlled wire data
-    // straight into BloomFilter::deserialize, whose Error unwound through
-    // the simulator event loop and killed the whole run. A corrupt image
-    // must be dropped, counted, and must not disturb discovery.
-    auto kb = make_kb();
-    obs::MetricsRegistry registry;
-    DiscoveryNetwork network(Topology::grid(3, 1),
-                             fast_config(Protocol::kSAriadne), kb, &registry);
-    network.appoint_directory(0);
-    network.appoint_directory(2);
-    network.start();
-    network.run_for(200);
-    network.publish_service(0,
-                            desc::serialize_service(th::workstation_service()));
-    network.run_for(500);
-
-    // Header claims 1024 bits (16 body words) but carries none: the old
-    // code threw bloom::Error here and aborted the simulation.
-    network.transport().unicast(
-        2, 0,
-        net::make_message(
-            wire::SummaryPush{2, {(std::uint64_t{1024} << 32) | 4u}}));
-    // Truncated body: a real serialized filter with its last word cut off.
-    bloom::BloomFilter real({256, 4});
-    const std::string uri = "urn:svc";
-    real.insert(bloom::BloomFilter::set_key({&uri, 1}));
-    auto words = real.serialize();
-    words.pop_back();
-    network.transport().unicast(
-        2, 0, net::make_message(wire::SummaryPush{2, std::move(words)}));
-    network.run_for(500);
-
-    EXPECT_EQ(registry.counter_value("protocol.bloom_wire_rejected"), 2u);
-
-    // The receiving directory is still alive and answering.
-    desc::ServiceRequest request;
-    request.capabilities.push_back(th::get_video_stream());
-    const auto id = network.discover(1, desc::serialize_request(request));
-    network.run_for(5000);
-    EXPECT_TRUE(network.outcome(id).answered);
-    EXPECT_TRUE(network.outcome(id).satisfied);
-}
-
 TEST(SAriadne, MalformedHandoverIsContainedAndCounted) {
     // Regression: the handover handler fed peer bytes to import_state
     // unguarded, so a malformed state document threw out of the event loop
@@ -694,6 +624,165 @@ TEST(SAriadne, MalformedHandoverIsContainedAndCounted) {
     EXPECT_EQ(registry.counter_value("protocol.summary_pushes"),
               pushes_before);
 
+    desc::ServiceRequest request;
+    request.capabilities.push_back(th::get_video_stream());
+    const auto id = network.discover(1, desc::serialize_request(request));
+    network.run_for(5000);
+    EXPECT_TRUE(network.outcome(id).answered);
+    EXPECT_TRUE(network.outcome(id).satisfied);
+}
+
+// ---------------------------------------------------------------------------
+// The summary-exchange contract, over both summary backends
+// ---------------------------------------------------------------------------
+
+class SummaryExchange
+    : public ::testing::TestWithParam<summary::SummaryBackend> {
+protected:
+    ProtocolConfig config() const {
+        ProtocolConfig config = fast_config(Protocol::kSAriadne);
+        config.summary_backend = GetParam();
+        return config;
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SummaryExchange,
+    ::testing::Values(summary::SummaryBackend::kBloom,
+                      summary::SummaryBackend::kInterval),
+    [](const auto& param_info) {
+        return th::backend_name(param_info.param);
+    });
+
+TEST_P(SummaryExchange, RemoteDirectoryReachedViaForwarding) {
+    auto kb = make_kb();
+    // Line topology: directories at both ends, vicinity 2 keeps them from
+    // hearing each other's advertisements directly.
+    DiscoveryNetwork network(Topology::grid(9, 1), config(), kb);
+    network.appoint_directory(0);
+    network.appoint_directory(8);
+    network.start();
+    network.run_for(100);
+
+    // Service lives near directory 8; client asks near directory 0.
+    network.publish_service(7,
+                            desc::serialize_service(th::workstation_service()));
+    network.run_for(3000);  // let summaries propagate
+
+    desc::ServiceRequest request;
+    request.capabilities.push_back(th::get_video_stream());
+    const auto id = network.discover(1, desc::serialize_request(request));
+    network.run_for(4000);
+
+    const DiscoveryOutcome& outcome = network.outcome(id);
+    ASSERT_TRUE(outcome.answered);
+    EXPECT_TRUE(outcome.satisfied);
+    EXPECT_GE(outcome.directories_asked, 1u);
+    ASSERT_FALSE(outcome.hits.empty());
+    EXPECT_EQ(outcome.hits[0].capability_name, "SendDigitalStream");
+    EXPECT_EQ(outcome.hits[0].semantic_distance, 3);
+}
+
+TEST_P(SummaryExchange, ReAdvertisementThatSwapsOntologiesIsPushed) {
+    // Regression: the Bloom backend pushed only when the filter's set-bit
+    // count grew. Re-advertising "Box" with an output from a third
+    // ontology rebuilds the filter with as many new bits as it drops, so
+    // nothing was pushed and directory 0 never forwarded to directory 8.
+    constexpr const char* kSensorUri = "http://amigo.example/onto/sensor";
+    onto::Ontology sensor(kSensorUri);
+    sensor.add_class("Reading");
+    auto kb = make_kb();
+    kb.register_ontology(std::move(sensor));
+    const std::string reading = std::string(kSensorUri) + "#Reading";
+
+    obs::MetricsRegistry registry;
+    DiscoveryNetwork network(Topology::grid(9, 1), config(), kb, &registry);
+    network.appoint_directory(0);
+    network.appoint_directory(8);
+    network.start();
+    network.run_for(100);
+    network.publish_service(7, desc::serialize_service(th::one_output_service(
+                                   "Box", th::media("Stream"))));
+    network.run_for(1000);
+    const auto pushes = registry.counter_value("protocol.summary_pushes");
+    network.publish_service(
+        7, desc::serialize_service(th::one_output_service("Box", reading)));
+    network.run_for(10);  // one hop to directory 8, which pushes at once
+    EXPECT_GT(registry.counter_value("protocol.summary_pushes"), pushes);
+    network.run_for(1000);
+
+    desc::Capability wanted;
+    wanted.name = "WantReading";
+    wanted.kind = desc::CapabilityKind::kRequired;
+    wanted.category_qname = th::server("DigitalServer");
+    wanted.outputs.push_back(desc::Parameter{"out", reading});
+    desc::ServiceRequest request;
+    request.capabilities.push_back(std::move(wanted));
+    const auto id = network.discover(1, desc::serialize_request(request));
+    network.run_for(4000);
+
+    const DiscoveryOutcome& outcome = network.outcome(id);
+    ASSERT_TRUE(outcome.answered);
+    EXPECT_TRUE(outcome.satisfied);
+    EXPECT_EQ(registry.counter_value("protocol.forwards"), 1u);
+}
+
+TEST_P(SummaryExchange, CorruptAndForeignImagesAreContainedAndCounted) {
+    // Summary images are peer-controlled bytes. A corrupt one (which once
+    // threw out of the event loop and killed the run), or a well-formed
+    // one of the backend this network does not run, is dropped and
+    // counted; it pulls nothing and does not disturb discovery.
+    auto kb = make_kb();
+    obs::MetricsRegistry registry;
+    DiscoveryNetwork network(Topology::grid(3, 1), config(), kb, &registry);
+    network.appoint_directory(0);
+    network.appoint_directory(2);
+    network.start();
+    network.run_for(200);
+    network.publish_service(0,
+                            desc::serialize_service(th::workstation_service()));
+    network.run_for(500);
+
+    bloom::BloomFilter filter({256, 4});
+    filter.insert_ontology_set(std::vector<std::string>{"urn:svc"});
+    std::vector<std::uint64_t> filter_words = filter.serialize();
+    summary::IntervalSummary exact;
+    exact.retain("urn:x", 5, summary::Role::kOutputs, 3);
+    std::vector<std::uint8_t> exact_image = summary::encode_summary(exact);
+    summary::SummaryDelta delta;
+    delta.base_version = 1;
+    delta.new_version = 2;
+
+    std::vector<wire::Payload> corrupt;
+    // Header claims 1024 bits (16 body words) but carries none.
+    corrupt.push_back(wire::SummaryPush{2, {(std::uint64_t{1024} << 32) | 4u}});
+    corrupt.push_back(wire::SummaryPush{2, filter_words});
+    std::get<wire::SummaryPush>(corrupt.back()).summary_wire.pop_back();
+    corrupt.push_back(wire::SummaryBitmap{2, {0xDE, 0xAD, 0xBE}});
+    corrupt.push_back(wire::SummaryBitmap{2, exact_image});
+    std::get<wire::SummaryBitmap>(corrupt.back()).image.pop_back();
+    corrupt.push_back(wire::SummaryDelta{2, {0x00}});
+    std::vector<wire::Payload> foreign;
+    if (GetParam() == summary::SummaryBackend::kBloom) {
+        foreign.push_back(wire::SummaryBitmap{2, exact_image});
+        foreign.push_back(wire::SummaryDelta{2, summary::encode_delta(delta)});
+    } else {
+        foreign.push_back(wire::SummaryPush{2, filter_words});
+    }
+
+    const auto pulls = registry.counter_value("protocol.summary_pulls");
+    for (auto* images : {&corrupt, &foreign}) {
+        for (wire::Payload& payload : *images) {
+            network.transport().unicast(2, 0,
+                                        net::make_message(std::move(payload)));
+        }
+    }
+    network.run_for(500);
+    EXPECT_EQ(registry.counter_value("protocol.bloom_wire_rejected"),
+              corrupt.size() + foreign.size());
+    EXPECT_EQ(registry.counter_value("protocol.summary_pulls"), pulls);
+
+    // The receiving directory is still alive and answering.
     desc::ServiceRequest request;
     request.capabilities.push_back(th::get_video_stream());
     const auto id = network.discover(1, desc::serialize_request(request));

@@ -5,10 +5,12 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "description/capability.hpp"
 #include "description/service.hpp"
 #include "ontology/ontology.hpp"
+#include "summary/routing_summary.hpp"
 
 namespace sariadne::testing {
 
@@ -122,6 +124,30 @@ inline desc::ServiceDescription workstation_service() {
     service.profile.capabilities.push_back(send_digital_stream());
     service.profile.capabilities.push_back(provide_game());
     return service;
+}
+
+/// A service `name` with one provided capability: category DigitalServer,
+/// no inputs, one output `output_qname`.
+inline desc::ServiceDescription one_output_service(
+    const std::string& name, const std::string& output_qname) {
+    desc::Capability cap;
+    cap.name = name + "Cap";
+    cap.kind = desc::CapabilityKind::kProvided;
+    cap.category_qname = server("DigitalServer");
+    cap.outputs.push_back(desc::Parameter{"out", output_qname});
+    desc::ServiceDescription service;
+    service.profile.service_name = name;
+    service.profile.provider = "amigo-home";
+    service.middleware = "WS";
+    service.grounding.protocol = "SOAP";
+    service.grounding.address = "http://" + name + ".local/";
+    service.profile.capabilities.push_back(std::move(cap));
+    return service;
+}
+
+/// Test-name suffix of a summary backend, for suites run over both.
+inline std::string backend_name(summary::SummaryBackend backend) {
+    return backend == summary::SummaryBackend::kBloom ? "Bloom" : "Interval";
 }
 
 }  // namespace sariadne::testing

@@ -383,6 +383,15 @@ bool is_lock_tag(const std::string& arg) {
            arg.find("defer_lock") != std::string::npos;
 }
 
+/// An event with its kind and offset set; the caller fills the fields its
+/// kind uses.
+BodyEvent make_event(BodyEvent::Kind kind, std::size_t offset) {
+    BodyEvent ev;
+    ev.kind = kind;
+    ev.offset = offset;
+    return ev;
+}
+
 void collect_body_events(const std::string& s, FunctionDef& def,
                          const std::vector<std::pair<std::size_t, std::size_t>>&
                              nested) {
@@ -400,12 +409,12 @@ void collect_body_events(const std::string& s, FunctionDef& def,
         if (skipped) continue;
         const char c = s[j];
         if (c == '{') {
-            def.events.push_back({BodyEvent::Kind::kScopeOpen, j});
+            def.events.push_back(make_event(BodyEvent::Kind::kScopeOpen, j));
             ++j;
             continue;
         }
         if (c == '}') {
-            def.events.push_back({BodyEvent::Kind::kScopeClose, j});
+            def.events.push_back(make_event(BodyEvent::Kind::kScopeClose, j));
             ++j;
             continue;
         }
@@ -430,7 +439,7 @@ void collect_body_events(const std::string& s, FunctionDef& def,
                 const char cc = oc == '(' ? ')' : '}';
                 const std::size_t close = match_group(s, k, oc, cc);
                 if (close != std::string::npos) {
-                    BodyEvent ev{BodyEvent::Kind::kGuard, j};
+                    BodyEvent ev = make_event(BodyEvent::Kind::kGuard, j);
                     ev.guard_type = w;
                     ev.guard_var = var;
                     for (const std::string& arg :
@@ -452,7 +461,7 @@ void collect_body_events(const std::string& s, FunctionDef& def,
         if (w == "new") {
             const std::string prev = prev_word(s, j);
             const std::size_t k = skip_ws(s, e);
-            BodyEvent ev{BodyEvent::Kind::kAlloc, j};
+            BodyEvent ev = make_event(BodyEvent::Kind::kAlloc, j);
             if (prev == "operator") {
                 ev.what = "operator new";
                 def.events.push_back(ev);
@@ -466,7 +475,7 @@ void collect_body_events(const std::string& s, FunctionDef& def,
             continue;
         }
         if (w == "make_unique" || w == "make_shared") {
-            BodyEvent ev{BodyEvent::Kind::kAlloc, j};
+            BodyEvent ev = make_event(BodyEvent::Kind::kAlloc, j);
             ev.what = "std::" + w;
             def.events.push_back(ev);
             j = e;
@@ -476,7 +485,7 @@ void collect_body_events(const std::string& s, FunctionDef& def,
             s[j - 2] == ':') {
             const std::size_t k = skip_ws(s, e);
             if (w == "string" || (k < s.size() && s[k] == '<')) {
-                BodyEvent ev{BodyEvent::Kind::kAlloc, j};
+                BodyEvent ev = make_event(BodyEvent::Kind::kAlloc, j);
                 ev.what = "std::" + w;
                 def.events.push_back(ev);
             }
@@ -484,14 +493,14 @@ void collect_body_events(const std::string& s, FunctionDef& def,
             continue;
         }
         if (w == "throw") {
-            def.events.push_back({BodyEvent::Kind::kThrow, j});
+            def.events.push_back(make_event(BodyEvent::Kind::kThrow, j));
             j = e;
             continue;
         }
         if (w == "unlock") {
             const MemberAccess access = read_access(s, j);
             if (access.accessed && !access.receiver.empty()) {
-                BodyEvent ev{BodyEvent::Kind::kUnlock, j};
+                BodyEvent ev = make_event(BodyEvent::Kind::kUnlock, j);
                 ev.name = access.receiver;
                 def.events.push_back(ev);
             }
@@ -502,7 +511,7 @@ void collect_body_events(const std::string& s, FunctionDef& def,
             const std::size_t k = skip_ws(s, e);
             if (k < s.size() && s[k] == '(') {
                 const MemberAccess access = read_access(s, j);
-                BodyEvent ev{BodyEvent::Kind::kCall, j};
+                BodyEvent ev = make_event(BodyEvent::Kind::kCall, j);
                 ev.name = w;
                 ev.receiver = access.receiver;
                 ev.qualifier = access.qualifier;
