@@ -1,5 +1,7 @@
 #include "net/simulator.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "ariadne/wire.hpp"
@@ -173,8 +175,9 @@ void Simulator::broadcast(NodeId from, std::uint32_t ttl_hops, Message msg) {
     }
 }
 
-void Simulator::drain(SimTime until) {
-    while (!events_.empty()) {
+std::size_t Simulator::drain(SimTime until, std::size_t max_events) {
+    std::size_t executed = 0;
+    while (executed < max_events && !events_.empty()) {
         const Event& top = events_.top();
         if (top.time > until) break;
         // Move out before pop (the action may schedule further events):
@@ -184,18 +187,20 @@ void Simulator::drain(SimTime until) {
         now_ = top.time;
         events_.pop();
         action();
+        ++executed;
     }
     if (metrics_.pending_events != nullptr) {
         metrics_.pending_events->set(
             static_cast<std::int64_t>(events_.size()));
         metrics_.now_ms->set(static_cast<std::int64_t>(now_));
     }
+    return executed;
 }
 
-void Simulator::run() { drain(1e12); }
+void Simulator::run() { drain(1e12, SIZE_MAX); }
 
 void Simulator::run(SimTime until) {
-    drain(until);
+    drain(until, SIZE_MAX);
     // The window's virtual time elapses in full even when the tail of it
     // held no events; otherwise back-to-back run() windows would skew
     // every now()-based staleness check by the idle gap.
@@ -206,15 +211,7 @@ void Simulator::run(SimTime until) {
 }
 
 std::size_t Simulator::step(std::size_t max_events) {
-    std::size_t executed = 0;
-    while (executed < max_events && !events_.empty()) {
-        auto action = std::move(const_cast<Event&>(events_.top()).action);
-        now_ = events_.top().time;
-        events_.pop();
-        action();
-        ++executed;
-    }
-    return executed;
+    return drain(std::numeric_limits<SimTime>::infinity(), max_events);
 }
 
 }  // namespace sariadne::net

@@ -6,14 +6,18 @@
 // register a NodeApp per node and communicate exclusively through the
 // simulator.
 //
-// Radio model: unicast between reachable nodes costs
-//   hops * per_hop_latency_ms
-// (Ariadne assumes an underlying MANET routing layer; we charge its path
-// cost without simulating the routing protocol itself). TTL-bounded
-// broadcast floods outward one hop per latency step, delivering to every
-// up-node within the hop bound — the paper's "up to a given number of
-// hops" advertisement/election primitive. Message counters feed the
-// protocol-traffic metrics of the distributed benches.
+// Radio model: a unicast between reachable nodes arrives after
+//   path_cost * per_hop_latency_ms
+// (path_cost weighs a radio hop 1.0 and a wired link its weight) and is
+// charged one transmission per hop of the shortest hop path. Ariadne
+// assumes an underlying MANET routing layer; we charge its path cost
+// without simulating the routing protocol itself. Both numbers come from
+// the topology's per-source route table, rebuilt after a topology change
+// (net/topology.hpp). TTL-bounded broadcast floods outward one hop per
+// latency step, delivering to every up-node within the hop bound — the
+// paper's "up to a given number of hops" advertisement/election
+// primitive. Message counters feed the protocol-traffic metrics of the
+// distributed benches.
 #pragma once
 
 #include <cstdint>
@@ -155,7 +159,12 @@ private:
     };
 
     void deliver(NodeId to, const Message& msg);
-    void drain(SimTime until);
+
+    /// Event loop shared by run() and step(): runs events in time order
+    /// while their time is <= `until`, at most `max_events` of them, then
+    /// refreshes the `sim.pending_events` and `sim.now_ms` gauges. Returns
+    /// how many ran.
+    std::size_t drain(SimTime until, std::size_t max_events);
 
     /// Applies the fault plan to one delivery of `msg` from `from` to `to`
     /// due at `delay_ms` from now: may drop it, add jitter, or schedule a

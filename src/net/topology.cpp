@@ -66,6 +66,7 @@ Topology Topology::grid(std::size_t width, std::size_t height) {
 void Topology::add_link(NodeId a, NodeId b, double weight) {
     SARIADNE_EXPECTS(a < adjacency_.size() && b < adjacency_.size() && a != b);
     SARIADNE_EXPECTS(weight > 0);
+    routes_.clear();
     adjacency_[a].push_back(b);
     weights_[a].push_back(weight);
     adjacency_[b].push_back(a);
@@ -143,6 +144,7 @@ void Topology::rebuild_radio_links(double radio_range) {
     }
     adjacency_ = std::move(kept_adj);
     weights_ = std::move(kept_w);
+    routes_.clear();
     for (NodeId a = 0; a < n; ++a) {
         for (NodeId b = a + 1; b < n; ++b) {
             const double dx = positions_[a].x - positions_[b].x;
@@ -154,58 +156,68 @@ void Topology::rebuild_radio_links(double radio_range) {
     }
 }
 
-std::vector<double> Topology::path_costs(NodeId from) const {
+const Topology::Routes& Topology::routes_from(NodeId from) const {
     SARIADNE_EXPECTS(from < adjacency_.size());
-    std::vector<double> cost(adjacency_.size(), -1.0);
-    if (!up_[from]) return cost;
+    const std::size_t n = adjacency_.size();
+    if (routes_.empty()) routes_.resize(n);
+    Routes& row = routes_[from];
+    if (!row.hops.empty()) return row;
+    row.hops.assign(n, -1);
+    row.costs.assign(n, -1.0);
+    if (!up_[from]) return row;
+
+    // Hop counts: BFS through up-nodes.
+    std::queue<NodeId> queue;
+    row.hops[from] = 0;
+    queue.push(from);
+    while (!queue.empty()) {
+        const NodeId node = queue.front();
+        queue.pop();
+        for (const NodeId next : adjacency_[node]) {
+            if (!up_[next] || row.hops[next] != -1) continue;
+            row.hops[next] = row.hops[node] + 1;
+            queue.push(next);
+        }
+    }
+
+    // Latency-weighted costs: Dijkstra through up-nodes.
     using Item = std::pair<double, NodeId>;
     std::priority_queue<Item, std::vector<Item>, std::greater<>> frontier;
-    cost[from] = 0.0;
+    row.costs[from] = 0.0;
     frontier.emplace(0.0, from);
     while (!frontier.empty()) {
         const auto [d, node] = frontier.top();
         frontier.pop();
-        if (d > cost[node]) continue;  // stale entry
+        if (d > row.costs[node]) continue;  // stale entry
         for (std::size_t i = 0; i < adjacency_[node].size(); ++i) {
             const NodeId next = adjacency_[node][i];
             if (!up_[next]) continue;
             const double candidate = d + weights_[node][i];
-            if (cost[next] < 0 || candidate < cost[next]) {
-                cost[next] = candidate;
+            if (row.costs[next] < 0 || candidate < row.costs[next]) {
+                row.costs[next] = candidate;
                 frontier.emplace(candidate, next);
             }
         }
     }
-    return cost;
+    return row;
+}
+
+std::vector<double> Topology::path_costs(NodeId from) const {
+    return routes_from(from).costs;
 }
 
 double Topology::path_cost(NodeId from, NodeId to) const {
     SARIADNE_EXPECTS(to < adjacency_.size());
-    return path_costs(from)[to];
+    return routes_from(from).costs[to];
 }
 
 std::vector<int> Topology::hop_distances(NodeId from) const {
-    SARIADNE_EXPECTS(from < adjacency_.size());
-    std::vector<int> dist(adjacency_.size(), -1);
-    if (!up_[from]) return dist;
-    std::queue<NodeId> frontier;
-    dist[from] = 0;
-    frontier.push(from);
-    while (!frontier.empty()) {
-        const NodeId node = frontier.front();
-        frontier.pop();
-        for (const NodeId next : adjacency_[node]) {
-            if (!up_[next] || dist[next] != -1) continue;
-            dist[next] = dist[node] + 1;
-            frontier.push(next);
-        }
-    }
-    return dist;
+    return routes_from(from).hops;
 }
 
 int Topology::hop_distance(NodeId from, NodeId to) const {
     SARIADNE_EXPECTS(to < adjacency_.size());
-    return hop_distances(from)[to];
+    return routes_from(from).hops[to];
 }
 
 bool Topology::connected() const {

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
@@ -8,6 +10,8 @@
 #include "net/sim_transport.hpp"
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace sariadne::net {
@@ -55,6 +59,196 @@ TEST(Topology, DistancesFromDownNodeAreUnreachable) {
     topo.set_up(0, false);
     const auto dist = topo.hop_distances(0);
     for (const int d : dist) EXPECT_EQ(d, -1);
+}
+
+/// An independent model of a Topology's links and liveness: the test keeps
+/// its own edge list, mirrors each mutation into it, and computes every
+/// route with Floyd–Warshall.
+struct RouteModel {
+    struct Edge {
+        NodeId a;
+        NodeId b;
+        double weight;
+    };
+    std::vector<Edge> edges;
+    std::vector<char> up;
+    std::vector<std::vector<int>> hops;
+    std::vector<std::vector<double>> costs;
+
+    /// Reads the initial links from `topo`: wired access-point links
+    /// carry `wired_weight`, every other link is one radio hop.
+    RouteModel(const Topology& topo, double wired_weight)
+        : up(topo.node_count(), 1) {
+        for (NodeId a = 0; a < topo.node_count(); ++a) {
+            for (const NodeId b : topo.neighbors(a)) {
+                if (a >= b) continue;
+                const bool wired =
+                    topo.is_infrastructure(a) && topo.is_infrastructure(b);
+                edges.push_back({a, b, wired ? wired_weight : 1.0});
+            }
+        }
+    }
+
+    /// Mirrors rebuild_radio_links: wired links between access points
+    /// survive; radio links are re-derived from positions.
+    void rebuild(const Topology& topo, double radio_range) {
+        std::erase_if(edges, [&](const Edge& e) {
+            return e.weight == 1.0 || !topo.is_infrastructure(e.a) ||
+                   !topo.is_infrastructure(e.b);
+        });
+        for (NodeId a = 0; a < topo.node_count(); ++a) {
+            for (NodeId b = a + 1; b < topo.node_count(); ++b) {
+                const double dx = topo.position(a).x - topo.position(b).x;
+                const double dy = topo.position(a).y - topo.position(b).y;
+                if (std::sqrt(dx * dx + dy * dy) <= radio_range) {
+                    edges.push_back({a, b, 1.0});
+                }
+            }
+        }
+    }
+
+    void solve() {
+        const std::size_t n = up.size();
+        constexpr int kNoHops = 1 << 28;
+        constexpr double kNoCost = 1e18;
+        hops.assign(n, std::vector<int>(n, kNoHops));
+        costs.assign(n, std::vector<double>(n, kNoCost));
+        for (NodeId v = 0; v < n; ++v) {
+            if (!up[v]) continue;
+            hops[v][v] = 0;
+            costs[v][v] = 0.0;
+        }
+        for (const Edge& e : edges) {
+            if (!up[e.a] || !up[e.b]) continue;
+            hops[e.a][e.b] = hops[e.b][e.a] = 1;
+            const double w = std::min(costs[e.a][e.b], e.weight);
+            costs[e.a][e.b] = costs[e.b][e.a] = w;
+        }
+        for (NodeId k = 0; k < n; ++k) {
+            for (NodeId i = 0; i < n; ++i) {
+                for (NodeId j = 0; j < n; ++j) {
+                    hops[i][j] = std::min(hops[i][j], hops[i][k] + hops[k][j]);
+                    costs[i][j] =
+                        std::min(costs[i][j], costs[i][k] + costs[k][j]);
+                }
+            }
+        }
+        for (NodeId i = 0; i < n; ++i) {
+            for (NodeId j = 0; j < n; ++j) {
+                if (hops[i][j] >= kNoHops) hops[i][j] = -1;
+                if (costs[i][j] >= kNoCost) costs[i][j] = -1.0;
+            }
+        }
+    }
+};
+
+/// Checks all four route queries of `topo` against the model. `lead`
+/// picks which query kind runs first, so each kind in turn is the one
+/// that meets the table right after a mutation.
+void expect_routes_match(const Topology& topo, RouteModel& model, int lead,
+                         const std::string& where) {
+    SCOPED_TRACE(where);
+    model.solve();
+    const std::size_t n = topo.node_count();
+    for (NodeId from = 0; from < n; ++from) {
+        for (int q = 0; q < 4; ++q) {
+            switch ((lead + q) % 4) {
+                case 0:
+                    for (NodeId to = 0; to < n; ++to) {
+                        ASSERT_EQ(topo.hop_distance(from, to),
+                                  model.hops[from][to])
+                            << from << " -> " << to;
+                    }
+                    break;
+                case 1:
+                    for (NodeId to = 0; to < n; ++to) {
+                        ASSERT_NEAR(topo.path_cost(from, to),
+                                    model.costs[from][to], 1e-9)
+                            << from << " -> " << to;
+                    }
+                    break;
+                case 2:
+                    ASSERT_EQ(topo.hop_distances(from), model.hops[from])
+                        << "from " << from;
+                    break;
+                default: {
+                    const std::vector<double> costs = topo.path_costs(from);
+                    ASSERT_EQ(costs.size(), n);
+                    for (NodeId to = 0; to < n; ++to) {
+                        ASSERT_NEAR(costs[to], model.costs[from][to], 1e-9)
+                            << from << " -> " << to;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A seeded mix of liveness toggles, extra weighted links and moves
+/// followed by radio rebuilds. Routes are read before each mutation, so a
+/// table that survived the mutation would be read stale after it.
+void run_route_differential(Topology topo, double radio_range,
+                            double wired_weight, std::uint64_t seed) {
+    RouteModel model(topo, wired_weight);
+    Rng rng(seed);
+    const std::size_t n = topo.node_count();
+    const auto any_node = [&] { return static_cast<NodeId>(rng.below(n)); };
+    for (int step = 0; step < 60; ++step) {
+        expect_routes_match(topo, model, step, "before step " +
+                                                   std::to_string(step));
+        if (testing::Test::HasFatalFailure()) return;
+        switch (rng.below(3)) {
+            case 0: {
+                const NodeId node = any_node();
+                const bool up = !topo.is_up(node);
+                topo.set_up(node, up);
+                model.up[node] = up ? 1 : 0;
+                break;
+            }
+            case 1: {
+                const NodeId a = any_node();
+                NodeId b = any_node();
+                if (b == a) b = static_cast<NodeId>((a + 1) % n);
+                const double weight = 0.05 + 1.95 * rng.uniform();
+                topo.add_link(a, b, weight);
+                model.edges.push_back({a, b, weight});
+                break;
+            }
+            default: {
+                const NodeId node = any_node();
+                topo.set_position(node, Position{rng.uniform(), rng.uniform()});
+                topo.rebuild_radio_links(radio_range);
+                model.rebuild(topo, radio_range);
+            }
+        }
+    }
+    expect_routes_match(topo, model, 0, "after the last step");
+}
+
+TEST(Topology, RoutesMatchFloydWarshallAcrossMutations) {
+    run_route_differential(Topology::grid(5, 4), /*radio_range=*/0.26, 1.0,
+                           0x6121D);
+    Rng geometric(77);
+    run_route_differential(Topology::random_geometric(24, 0.3, geometric),
+                           0.3, 1.0, 0x6E0);
+    Rng hybrid(78);
+    run_route_differential(Topology::hybrid(20, 4, 0.3, hybrid, 0.2), 0.3,
+                           0.2, 0x4B1D);
+}
+
+TEST(Topology, MoveThenRebuildReroutes) {
+    Topology topo = Topology::grid(3, 1);  // 0 - 1 - 2 at x = 0, 1/3, 2/3
+    topo.rebuild_radio_links(0.5);
+    EXPECT_EQ(topo.hop_distance(0, 2), 2);
+    topo.set_position(2, Position{0.1, 0.0});
+    EXPECT_EQ(topo.hop_distance(0, 2), 2);  // links follow the rebuild
+    topo.rebuild_radio_links(0.5);
+    EXPECT_EQ(topo.hop_distance(0, 2), 1);
+    EXPECT_DOUBLE_EQ(topo.path_cost(0, 2), 1.0);
+    // A rebuild that links nothing still drops the old routes.
+    topo.rebuild_radio_links(0.05);
+    EXPECT_EQ(topo.hop_distance(0, 2), -1);
+    EXPECT_LT(topo.path_cost(0, 2), 0);
 }
 
 class Recorder : public NodeApp {
@@ -203,6 +397,16 @@ TEST(Simulator, StepExecutesBoundedEvents) {
     EXPECT_FALSE(sim.idle());
     EXPECT_EQ(sim.step(100), 3u);
     EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, StepRefreshesClockGauges) {
+    obs::MetricsRegistry registry;
+    Simulator sim(Topology::grid(1, 1));
+    sim.set_metrics(&registry);
+    for (int i = 1; i <= 5; ++i) sim.schedule(10.0 * i, [] {});
+    EXPECT_EQ(sim.step(2), 2u);
+    EXPECT_EQ(registry.gauge_value(obs::names::kSimPendingEvents), 3);
+    EXPECT_EQ(registry.gauge_value(obs::names::kSimNowMs), 20);
 }
 
 TEST(Simulator, TrafficAccountingByType) {
