@@ -132,6 +132,57 @@ struct DiscoveryNetwork::NodeState {
 
 // --- construction ------------------------------------------------------------
 
+DiscoveryNetwork::Metrics::Metrics(obs::MetricsRegistry& target)
+    : registry(&target),
+      requests_issued(&target.counter(obs::names::kProtocolRequestsIssued)),
+      requests_retried(&target.counter(obs::names::kProtocolRequestsRetried)),
+      requests_expired(&target.counter(obs::names::kProtocolRequestsExpired)),
+      requests_satisfied(
+          &target.counter(obs::names::kProtocolRequestsSatisfied)),
+      requests_unsatisfied(
+          &target.counter(obs::names::kProtocolRequestsUnsatisfied)),
+      responses(&target.counter(obs::names::kProtocolResponses)),
+      forwards(&target.counter(obs::names::kProtocolForwards)),
+      elections_started(&target.counter(obs::names::kProtocolElectionsStarted)),
+      directories_elected(
+          &target.counter(obs::names::kProtocolDirectoriesElected)),
+      handovers(&target.counter(obs::names::kProtocolHandovers)),
+      summary_pushes(&target.counter(obs::names::kProtocolSummaryPushes)),
+      summary_pulls(&target.counter(obs::names::kProtocolSummaryPulls)),
+      summary_pull_replies(
+          &target.counter(obs::names::kProtocolSummaryPullReplies)),
+      bloom_false_positives(
+          &target.counter(obs::names::kProtocolBloomFalsePositives)),
+      bloom_wire_rejected(
+          &target.counter(obs::names::kProtocolBloomWireRejected)),
+      summary_bytes_sent(
+          &target.counter(obs::names::kProtocolSummaryBytesSent)),
+      summary_delta_pushes(
+          &target.counter(obs::names::kProtocolSummaryDeltaPushes)),
+      forwards_saved_exact(
+          &target.counter(obs::names::kProtocolForwardsSavedExact)),
+      pending_reaped(&target.counter(obs::names::kProtocolPendingReaped)),
+      publishes_acked(&target.counter(obs::names::kProtocolPublishesAcked)),
+      publishes_retried(&target.counter(obs::names::kProtocolPublishesRetried)),
+      publishes_expired(&target.counter(obs::names::kProtocolPublishesExpired)),
+      publish_nacks(&target.counter(obs::names::kProtocolPublishNacks)),
+      duplicates_dropped(
+          &target.counter(obs::names::kProtocolDuplicatesDropped)),
+      malformed_publishes(
+          &target.counter(obs::names::kProtocolMalformedPublishes)),
+      malformed_requests(
+          &target.counter(obs::names::kProtocolMalformedRequests)),
+      requests_in_flight(&target.gauge(obs::names::kProtocolRequestsInFlight)),
+      directories(&target.gauge(obs::names::kProtocolDirectories)),
+      retry_backlog(&target.gauge(obs::names::kProtocolRetryBacklog)),
+      publish_outstanding(
+          &target.gauge(obs::names::kProtocolPublishOutstanding)),
+      deferred_publishes(&target.gauge(obs::names::kProtocolDeferredPublishes)),
+      deferred_requests(&target.gauge(obs::names::kProtocolDeferredRequests)),
+      response_ms(&target.histogram(obs::names::kProtocolResponseMs)),
+      directory_compute_ms(
+          &target.histogram(obs::names::kProtocolDirectoryComputeMs)) {}
+
 DiscoveryNetwork::DiscoveryNetwork(std::unique_ptr<Transport> transport,
                                    ProtocolConfig config,
                                    encoding::KnowledgeBase& kb,
@@ -139,69 +190,13 @@ DiscoveryNetwork::DiscoveryNetwork(std::unique_ptr<Transport> transport,
     : transport_(std::move(transport)),
       config_(config),
       kb_(&kb),
+      own_registry_(metrics == nullptr
+                        ? std::make_unique<obs::MetricsRegistry>()
+                        : nullptr),
+      metrics_(metrics != nullptr ? *metrics : *own_registry_),
       jitter_rng_(config.jitter_seed) {
     SARIADNE_EXPECTS(transport_ != nullptr);
-    if (metrics != nullptr) {
-        metrics_.registry = metrics;
-        metrics_.requests_issued = &metrics->counter(obs::names::kProtocolRequestsIssued);
-        metrics_.requests_retried =
-            &metrics->counter(obs::names::kProtocolRequestsRetried);
-        metrics_.requests_expired =
-            &metrics->counter(obs::names::kProtocolRequestsExpired);
-        metrics_.requests_satisfied =
-            &metrics->counter(obs::names::kProtocolRequestsSatisfied);
-        metrics_.requests_unsatisfied =
-            &metrics->counter(obs::names::kProtocolRequestsUnsatisfied);
-        metrics_.responses = &metrics->counter(obs::names::kProtocolResponses);
-        metrics_.forwards = &metrics->counter(obs::names::kProtocolForwards);
-        metrics_.elections_started =
-            &metrics->counter(obs::names::kProtocolElectionsStarted);
-        metrics_.directories_elected =
-            &metrics->counter(obs::names::kProtocolDirectoriesElected);
-        metrics_.handovers = &metrics->counter(obs::names::kProtocolHandovers);
-        metrics_.summary_pushes = &metrics->counter(obs::names::kProtocolSummaryPushes);
-        metrics_.summary_pulls = &metrics->counter(obs::names::kProtocolSummaryPulls);
-        metrics_.summary_pull_replies =
-            &metrics->counter(obs::names::kProtocolSummaryPullReplies);
-        metrics_.bloom_false_positives =
-            &metrics->counter(obs::names::kProtocolBloomFalsePositives);
-        metrics_.bloom_wire_rejected =
-            &metrics->counter(obs::names::kProtocolBloomWireRejected);
-        metrics_.summary_bytes_sent =
-            &metrics->counter(obs::names::kProtocolSummaryBytesSent);
-        metrics_.summary_delta_pushes =
-            &metrics->counter(obs::names::kProtocolSummaryDeltaPushes);
-        metrics_.forwards_saved_exact =
-            &metrics->counter(obs::names::kProtocolForwardsSavedExact);
-        metrics_.pending_reaped = &metrics->counter(obs::names::kProtocolPendingReaped);
-        metrics_.publishes_acked =
-            &metrics->counter(obs::names::kProtocolPublishesAcked);
-        metrics_.publishes_retried =
-            &metrics->counter(obs::names::kProtocolPublishesRetried);
-        metrics_.publishes_expired =
-            &metrics->counter(obs::names::kProtocolPublishesExpired);
-        metrics_.publish_nacks = &metrics->counter(obs::names::kProtocolPublishNacks);
-        metrics_.duplicates_dropped =
-            &metrics->counter(obs::names::kProtocolDuplicatesDropped);
-        metrics_.malformed_publishes =
-            &metrics->counter(obs::names::kProtocolMalformedPublishes);
-        metrics_.malformed_requests =
-            &metrics->counter(obs::names::kProtocolMalformedRequests);
-        metrics_.requests_in_flight =
-            &metrics->gauge(obs::names::kProtocolRequestsInFlight);
-        metrics_.directories = &metrics->gauge(obs::names::kProtocolDirectories);
-        metrics_.retry_backlog = &metrics->gauge(obs::names::kProtocolRetryBacklog);
-        metrics_.publish_outstanding =
-            &metrics->gauge(obs::names::kProtocolPublishOutstanding);
-        metrics_.deferred_publishes =
-            &metrics->gauge(obs::names::kProtocolDeferredPublishes);
-        metrics_.deferred_requests =
-            &metrics->gauge(obs::names::kProtocolDeferredRequests);
-        metrics_.response_ms = &metrics->histogram(obs::names::kProtocolResponseMs);
-        metrics_.directory_compute_ms =
-            &metrics->histogram(obs::names::kProtocolDirectoryComputeMs);
-        transport_->set_metrics(metrics);
-    }
+    transport_->set_metrics(*metrics_.registry);
     const std::size_t n = transport_->node_count();
     nodes_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -255,7 +250,7 @@ void DiscoveryNetwork::node_check_advertisement(NodeId node) {
 }
 
 void DiscoveryNetwork::node_start_election(NodeId node) {
-    if (metrics_.elections_started) metrics_.elections_started->inc();
+    metrics_.elections_started->inc();
     NodeState& state = *nodes_[node];
     state.election_pending = true;
     state.election_started = transport_->now();
@@ -312,12 +307,12 @@ void DiscoveryNetwork::resign_directory(NodeId node) {
 
     if (exported.empty()) return;  // syntactic mode: providers re-publish
 
-    if (metrics_.directories) metrics_.directories->set(
+    metrics_.directories->set(
         static_cast<std::int64_t>(directories().size()));
 
     NodeId successor = directory_for(node);
     if (successor != kNoNode) {
-        if (metrics_.handovers) metrics_.handovers->inc();
+        metrics_.handovers->inc();
         send(node, successor, Handover{std::move(exported)});
         return;
     }
@@ -340,8 +335,8 @@ void DiscoveryNetwork::become_directory(NodeId node) {
     } else {
         state.syndir = std::make_unique<directory::SyntacticDirectory>();
     }
-    if (metrics_.directories_elected) metrics_.directories_elected->inc();
-    if (metrics_.directories) metrics_.directories->set(
+    metrics_.directories_elected->inc();
+    metrics_.directories->set(
         static_cast<std::int64_t>(directories().size()));
     directory_advertise(node);
     if (config_.protocol == Protocol::kSAriadne) {
@@ -379,9 +374,8 @@ void DiscoveryNetwork::push_summary(NodeId directory_node) {
     if (!image) return;
     for (const NodeId peer : directories()) {
         if (peer == directory_node) continue;
-        if (metrics_.summary_pushes) metrics_.summary_pushes->inc();
-        if (image->kind == summary::Image::Kind::kDelta &&
-            metrics_.summary_delta_pushes) {
+        metrics_.summary_pushes->inc();
+        if (image->kind == summary::Image::Kind::kDelta) {
             metrics_.summary_delta_pushes->inc();
         }
         send_summary(directory_node, peer, *image);
@@ -404,16 +398,14 @@ void DiscoveryNetwork::after_publishes(NodeId directory_node,
 }
 
 void DiscoveryNetwork::pull_summary(NodeId self, NodeId peer) {
-    if (metrics_.summary_pulls) metrics_.summary_pulls->inc();
+    metrics_.summary_pulls->inc();
     send(self, peer, SummaryPull{});
 }
 
 void DiscoveryNetwork::send_summary(NodeId from, NodeId to,
                                     summary::Image image) {
-    if (metrics_.summary_bytes_sent) {
-        metrics_.summary_bytes_sent->inc(image.words.size() * 8 +
-                                         image.bytes.size());
-    }
+    metrics_.summary_bytes_sent->inc(image.words.size() * 8 +
+                                     image.bytes.size());
     switch (image.kind) {
         case summary::Image::Kind::kBloom:
             send(from, to, SummaryPush{from, std::move(image.words)});
@@ -437,9 +429,7 @@ void DiscoveryNetwork::receive_summary(NodeId self, NodeId from,
             // Peer-controlled bytes: a corrupt image, or one of the backend
             // this network does not run, is counted and dropped here
             // instead of unwinding the event loop.
-            if (metrics_.bloom_wire_rejected) {
-                metrics_.bloom_wire_rejected->inc();
-            }
+            metrics_.bloom_wire_rejected->inc();
             return;
         case summary::Applied::kGap:
             // Missed the delta's base version (packet loss, late election,
@@ -494,7 +484,7 @@ std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
             pub_id, NodeState::OutstandingPublish{
                         std::move(document_xml), config_.publish_max_retries,
                         config_.publish_ack_timeout_ms, false, 0});
-        if (metrics_.publish_outstanding) metrics_.publish_outstanding->add(1);
+        metrics_.publish_outstanding->add(1);
         send_publish(provider, pub_id);
         return pub_id;
     }
@@ -505,7 +495,7 @@ std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
     }
     if (target == kNoNode) {
         state.deferred_publishes.push_back(std::move(document_xml));
-        if (metrics_.deferred_publishes) metrics_.deferred_publishes->add(1);
+        metrics_.deferred_publishes->add(1);
         return 0;
     }
     send(provider, target, PublishDoc{std::move(document_xml), 0});
@@ -537,9 +527,7 @@ std::uint64_t DiscoveryNetwork::publish_batch(
     if (target == kNoNode) {
         for (auto& doc : documents) {
             state.deferred_publishes.push_back(std::move(doc));
-            if (metrics_.deferred_publishes) {
-                metrics_.deferred_publishes->add(1);
-            }
+            metrics_.deferred_publishes->add(1);
         }
         return 0;
     }
@@ -627,12 +615,12 @@ void DiscoveryNetwork::check_publish_timeout(NodeId provider,
         // A real transmission went unacked: consume a retry and back off.
         if (outstanding.retries_left <= 0) {
             state.outstanding_publishes.erase(it);
-            if (metrics_.publish_outstanding) metrics_.publish_outstanding->sub(1);
-            if (metrics_.publishes_expired) metrics_.publishes_expired->inc();
+            metrics_.publish_outstanding->sub(1);
+            metrics_.publishes_expired->inc();
             return;
         }
         --outstanding.retries_left;
-        if (metrics_.publishes_retried) metrics_.publishes_retried->inc();
+        metrics_.publishes_retried->inc();
         outstanding.timeout_ms =
             std::min(outstanding.timeout_ms * config_.publish_backoff_factor,
                      config_.publish_backoff_max_ms);
@@ -648,7 +636,7 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
         // role. Bounce the document back so the provider re-routes
         // immediately instead of losing the service until the next
         // republish period.
-        if (metrics_.publish_nacks) metrics_.publish_nacks->inc();
+        metrics_.publish_nacks->inc();
         send(self, msg.source, PubNack{doc.pub_id, doc.document});
         return;
     }
@@ -664,7 +652,7 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
             return true;
         });
         if (!published) {
-            if (metrics_.malformed_publishes) metrics_.malformed_publishes->inc();
+            metrics_.malformed_publishes->inc();
             return;
         }
         after_publishes(self, version_before, 1);
@@ -674,7 +662,7 @@ void DiscoveryNetwork::handle_publish(NodeId self, const Message& msg) {
             return true;
         });
         if (!published) {
-            if (metrics_.malformed_publishes) metrics_.malformed_publishes->inc();
+            metrics_.malformed_publishes->inc();
             return;
         }
     }
@@ -691,7 +679,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
         // Stale routing: bounce every member back individually so each
         // provider-side retry keeps its own pub_id accounting.
         for (const PublishDoc& doc : batch.docs) {
-            if (metrics_.publish_nacks) metrics_.publish_nacks->inc();
+            metrics_.publish_nacks->inc();
             send(self, msg.source, PubNack{doc.pub_id, doc.document});
         }
         return;
@@ -705,9 +693,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
                 return true;
             });
             if (!published) {
-                if (metrics_.malformed_publishes) {
-                    metrics_.malformed_publishes->inc();
-                }
+                metrics_.malformed_publishes->inc();
                 continue;
             }
             ack_doc(doc.pub_id);
@@ -726,7 +712,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
         auto description = support::catching<desc::ServiceDescription>(
             [&] { return desc::parse_service(doc.document); });
         if (!description) {
-            if (metrics_.malformed_publishes) metrics_.malformed_publishes->inc();
+            metrics_.malformed_publishes->inc();
             continue;
         }
         parsed.push_back(std::move(description).value());
@@ -751,9 +737,7 @@ void DiscoveryNetwork::handle_publish_batch(NodeId self, const Message& msg) {
                     return true;
                 });
                 if (!published) {
-                    if (metrics_.malformed_publishes) {
-                        metrics_.malformed_publishes->inc();
-                    }
+                    metrics_.malformed_publishes->inc();
                     continue;
                 }
                 ack_doc(doc->pub_id);
@@ -771,15 +755,13 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
     DiscoveryOutcome outcome;
     outcome.issued_at = transport_->now();
     outcomes_.emplace(id, outcome);
-    if (metrics_.requests_issued) metrics_.requests_issued->inc();
-    if (metrics_.requests_in_flight) metrics_.requests_in_flight->add(1);
+    metrics_.requests_issued->inc();
+    metrics_.requests_in_flight->add(1);
     if (config_.request_timeout_ms > 0) {
         retry_state_.emplace(
             id, RetryState{client, request_xml, config_.max_request_retries});
-        if (metrics_.retry_backlog) {
-            metrics_.retry_backlog->set(
-                static_cast<std::int64_t>(retry_state_.size()));
-        }
+        metrics_.retry_backlog->set(
+            static_cast<std::int64_t>(retry_state_.size()));
         transport_->schedule(config_.request_timeout_ms,
                        [this, id] { check_request_timeout(id); });
     }
@@ -792,7 +774,7 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
     }
     if (target == kNoNode) {
         state.deferred_requests.emplace_back(id, std::move(request_xml));
-        if (metrics_.deferred_requests) metrics_.deferred_requests->add(1);
+        metrics_.deferred_requests->add(1);
         return id;
     }
     send(client, target, Request{id, client, std::move(request_xml)});
@@ -879,9 +861,7 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
                 targets.push_back(peer);
                 break;
             case summary::Admission::kRejectByConcept:
-                if (metrics_.forwards_saved_exact) {
-                    metrics_.forwards_saved_exact->inc();
-                }
+                metrics_.forwards_saved_exact->inc();
                 break;
             case summary::Admission::kReject:
                 break;
@@ -942,7 +922,7 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
                                request.document, compute_ms);
         });
     if (!queried) {
-        if (metrics_.malformed_requests) metrics_.malformed_requests->inc();
+        metrics_.malformed_requests->inc();
         send(self, msg.source, Response{request.request_id, {}, false, 0.0, 0});
         return;
     }
@@ -993,7 +973,7 @@ void DiscoveryNetwork::handle_request(NodeId self, const Message& msg) {
             return;
         }
         for (const NodeId target : targets) {
-            if (metrics_.forwards) metrics_.forwards->inc();
+            metrics_.forwards->inc();
             send(self, target, Forward{id, self, it->second.request_xml});
         }
     });
@@ -1017,9 +997,7 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Message& msg) {
                                 forward.document, reply.compute_ms);
                 return true;
             });
-        if (!queried && metrics_.malformed_requests) {
-            metrics_.malformed_requests->inc();
-        }
+        if (!queried) metrics_.malformed_requests->inc();
     }
     const SimTime delay = reply_delay(*transport_, started, reply.compute_ms);
     transport_->schedule(delay, [this, self, origin = msg.source,
@@ -1043,8 +1021,7 @@ void DiscoveryNetwork::handle_forward_reply(NodeId self, const Message& msg) {
         // nothing: a false positive or a stale copy. Only the former is
         // counted (the exact summary has none by construction); the
         // pull-threshold repair covers both.
-        if (summary::RoutingSummary::over_admits(config_.summary_backend) &&
-            metrics_.bloom_false_positives) {
+        if (summary::RoutingSummary::over_admits(config_.summary_backend)) {
             metrics_.bloom_false_positives->inc();
         }
         std::size_t& empty_replies = state.exchange.false_positives[msg.source];
@@ -1134,7 +1111,7 @@ void DiscoveryNetwork::check_request_timeout(std::uint64_t request_id) {
         return;
     }
     --retry.retries_left;
-    if (metrics_.requests_retried) metrics_.requests_retried->inc();
+    metrics_.requests_retried->inc();
 
     send(retry.client, target,
          Request{request_id, retry.client, retry.document});
@@ -1163,34 +1140,26 @@ void DiscoveryNetwork::conclude_request(std::uint64_t request_id,
             node->pending, [request_id](const auto& entry) {
                 return entry.second.request_id == request_id;
             });
-        if (reaped > 0 && metrics_.pending_reaped) {
-            metrics_.pending_reaped->inc(static_cast<std::uint64_t>(reaped));
-        }
+        metrics_.pending_reaped->inc(static_cast<std::uint64_t>(reaped));
         const auto deferred = std::erase_if(
             node->deferred_requests,
             [request_id](const auto& entry) { return entry.first == request_id; });
-        if (deferred > 0 && metrics_.deferred_requests) {
-            metrics_.deferred_requests->sub(static_cast<std::int64_t>(deferred));
-        }
+        metrics_.deferred_requests->sub(static_cast<std::int64_t>(deferred));
     }
     // Every terminal request lands in exactly one of these three bins, so
     // issued == satisfied + unsatisfied + expired + in_flight always holds.
     if (expired) {
-        if (metrics_.requests_expired) metrics_.requests_expired->inc();
+        metrics_.requests_expired->inc();
     } else if (outcome.satisfied) {
-        if (metrics_.requests_satisfied) metrics_.requests_satisfied->inc();
+        metrics_.requests_satisfied->inc();
     } else {
-        if (metrics_.requests_unsatisfied) metrics_.requests_unsatisfied->inc();
+        metrics_.requests_unsatisfied->inc();
     }
-    if (metrics_.requests_in_flight) metrics_.requests_in_flight->sub(1);
-    if (metrics_.retry_backlog) {
-        metrics_.retry_backlog->set(
-            static_cast<std::int64_t>(retry_state_.size()));
-    }
-    if (outcome.answered && metrics_.response_ms) {
+    metrics_.requests_in_flight->sub(1);
+    metrics_.retry_backlog->set(
+        static_cast<std::int64_t>(retry_state_.size()));
+    if (outcome.answered) {
         metrics_.response_ms->observe(outcome.response_time_ms());
-    }
-    if (outcome.answered && metrics_.directory_compute_ms) {
         metrics_.directory_compute_ms->observe(outcome.directory_compute_ms);
     }
 }
@@ -1205,7 +1174,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
     // pub/req/fwd from double-counting, double-replying or
     // double-decrementing `outstanding` anywhere below.
     if (msg.wire_seq != 0 && !state.first_delivery(msg.wire_seq)) {
-        if (metrics_.duplicates_dropped) metrics_.duplicates_dropped->inc();
+        metrics_.duplicates_dropped->inc();
         return;
     }
 
@@ -1217,7 +1186,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
             state.election_pending = false;  // suppress a pending election
             state.known_directory = msg.source;
             if (!state.pending_handover.empty()) {
-                if (metrics_.handovers) metrics_.handovers->inc();
+                metrics_.handovers->inc();
                 send(self, msg.source,
                      Handover{std::move(state.pending_handover)});
                 state.pending_handover.clear();
@@ -1225,17 +1194,13 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
             // Flush work deferred for lack of a directory.
             auto publishes = std::move(state.deferred_publishes);
             state.deferred_publishes.clear();
-            if (metrics_.deferred_publishes && !publishes.empty()) {
-                metrics_.deferred_publishes->sub(
-                    static_cast<std::int64_t>(publishes.size()));
-            }
+            metrics_.deferred_publishes->sub(
+                static_cast<std::int64_t>(publishes.size()));
             for (auto& doc : publishes) publish_service(self, std::move(doc));
             auto requests = std::move(state.deferred_requests);
             state.deferred_requests.clear();
-            if (metrics_.deferred_requests && !requests.empty()) {
-                metrics_.deferred_requests->sub(
-                    static_cast<std::int64_t>(requests.size()));
-            }
+            metrics_.deferred_requests->sub(
+                static_cast<std::int64_t>(requests.size()));
             for (auto& [id, doc] : requests) {
                 send(self, msg.source, Request{id, self, std::move(doc)});
             }
@@ -1288,9 +1253,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
                     std::get<Handover>(msg.body.payload).state_xml);
             });
             if (!imported) {
-                if (metrics_.malformed_publishes) {
-                    metrics_.malformed_publishes->inc();
-                }
+                metrics_.malformed_publishes->inc();
                 return;
             }
             push_summary(self);
@@ -1303,9 +1266,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
                 // comparison against the false_positive_pull_threshold policy.
                 // It is always the full image: the puller either has no copy
                 // yet (fresh election) or missed a delta's base.
-                if (metrics_.summary_pull_replies) {
-                    metrics_.summary_pull_replies->inc();
-                }
+                metrics_.summary_pull_replies->inc();
                 send_summary(self, msg.source,
                              state.semdir->summary().full_image());
             }
@@ -1331,10 +1292,8 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
         case MsgType::kPubAck: {
             const auto& ack = std::get<PubAck>(msg.body.payload);
             if (state.outstanding_publishes.erase(ack.pub_id) > 0) {
-                if (metrics_.publish_outstanding) {
-                    metrics_.publish_outstanding->sub(1);
-                }
-                if (metrics_.publishes_acked) metrics_.publishes_acked->inc();
+                metrics_.publish_outstanding->sub(1);
+                metrics_.publishes_acked->inc();
             }
             return;
         }
@@ -1354,9 +1313,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
             const NodeId target = directory_for(self);
             if (target == kNoNode) {
                 state.deferred_publishes.push_back(nack.document);
-                if (metrics_.deferred_publishes) {
-                    metrics_.deferred_publishes->add(1);
-                }
+                metrics_.deferred_publishes->add(1);
                 return;
             }
             send(self, target, PublishDoc{nack.document, 0});
@@ -1373,7 +1330,7 @@ void DiscoveryNetwork::handle_message(NodeId self, const Message& msg) {
             // slow directory is ignored entirely.
             if (outcome.terminal) return;
             if (outcome.answered && outcome.satisfied) return;
-            if (metrics_.responses) metrics_.responses->inc();
+            metrics_.responses->inc();
             outcome.answered = true;
             outcome.satisfied = response.satisfied;
             outcome.hits = response.hits;

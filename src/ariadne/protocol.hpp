@@ -130,10 +130,11 @@ class DiscoveryNetwork {
 public:
     /// Primary constructor: the protocol speaks exclusively through
     /// `transport` (owned). `kb` must outlive the network and contain
-    /// every ontology the workload references (semantic mode). When
-    /// `metrics` is non-null, the protocol, its directories and the
-    /// transport report into it (`protocol.*`, `directory.*`, `sim.*` /
-    /// `transport.*`); the registry must outlive the network.
+    /// every ontology the workload references (semantic mode). The
+    /// protocol, its directories and the transport report into `metrics`
+    /// (`protocol.*`, `directory.*`, `sim.*` / `transport.*`), or into a
+    /// registry the network owns when `metrics` is null; a caller's
+    /// registry must outlive the network.
     DiscoveryNetwork(std::unique_ptr<Transport> transport,
                      ProtocolConfig config, encoding::KnowledgeBase& kb,
                      obs::MetricsRegistry* metrics = nullptr);
@@ -238,9 +239,10 @@ public:
     /// Directory serving a node (nearest by hops), kNoNode when none.
     net::NodeId directory_for(net::NodeId node) const;
 
-    const net::TrafficStats& traffic() const noexcept {
-        return transport_->stats();
-    }
+    /// The simulated traffic so far, read from the `sim.*` counters of
+    /// metrics() (all zero on a socket transport, which counts under
+    /// `transport.*`).
+    net::TrafficStats traffic() const { return net::read_traffic(metrics()); }
 
     /// Live retry-state entries (requests still holding a retry budget);
     /// drains to zero once every request is satisfied or expired —
@@ -252,8 +254,10 @@ public:
     /// budget (always zero with acks disabled).
     std::size_t publish_backlog() const noexcept;
 
-    /// The attached registry, nullptr when the network is uninstrumented.
-    obs::MetricsRegistry* metrics() const noexcept { return metrics_.registry; }
+    /// The registry the network reports into: the caller's, or its own.
+    obs::MetricsRegistry& metrics() const noexcept {
+        return *metrics_.registry;
+    }
 
     /// Node fitness used by elections (deterministic pseudo-battery ×
     /// degree); exposed for tests.
@@ -335,48 +339,52 @@ private:
         directory::SyntacticDirectory* syndir, const std::string& document,
         double& compute_ms);
 
-    /// Cached registry handles; all null when uninstrumented.
+    /// Handles into the registry the network reports into, all resolved
+    /// by the constructor.
     struct Metrics {
-        obs::MetricsRegistry* registry = nullptr;
-        obs::Counter* requests_issued = nullptr;
-        obs::Counter* requests_retried = nullptr;
-        obs::Counter* requests_expired = nullptr;
-        obs::Counter* requests_satisfied = nullptr;
-        obs::Counter* requests_unsatisfied = nullptr;
-        obs::Counter* responses = nullptr;
-        obs::Counter* forwards = nullptr;
-        obs::Counter* elections_started = nullptr;
-        obs::Counter* directories_elected = nullptr;
-        obs::Counter* handovers = nullptr;
-        obs::Counter* summary_pushes = nullptr;
-        obs::Counter* summary_pulls = nullptr;
-        obs::Counter* summary_pull_replies = nullptr;
-        obs::Counter* bloom_false_positives = nullptr;
-        obs::Counter* bloom_wire_rejected = nullptr;
-        obs::Counter* summary_bytes_sent = nullptr;
-        obs::Counter* summary_delta_pushes = nullptr;
-        obs::Counter* forwards_saved_exact = nullptr;
-        obs::Counter* pending_reaped = nullptr;
-        obs::Counter* publishes_acked = nullptr;
-        obs::Counter* publishes_retried = nullptr;
-        obs::Counter* publishes_expired = nullptr;
-        obs::Counter* publish_nacks = nullptr;
-        obs::Counter* duplicates_dropped = nullptr;
-        obs::Counter* malformed_publishes = nullptr;
-        obs::Counter* malformed_requests = nullptr;
-        obs::Gauge* requests_in_flight = nullptr;
-        obs::Gauge* directories = nullptr;
-        obs::Gauge* retry_backlog = nullptr;
-        obs::Gauge* publish_outstanding = nullptr;
-        obs::Gauge* deferred_publishes = nullptr;
-        obs::Gauge* deferred_requests = nullptr;
-        obs::Histogram* response_ms = nullptr;
-        obs::Histogram* directory_compute_ms = nullptr;
+        explicit Metrics(obs::MetricsRegistry& target);
+
+        obs::MetricsRegistry* registry;
+        obs::Counter* requests_issued;
+        obs::Counter* requests_retried;
+        obs::Counter* requests_expired;
+        obs::Counter* requests_satisfied;
+        obs::Counter* requests_unsatisfied;
+        obs::Counter* responses;
+        obs::Counter* forwards;
+        obs::Counter* elections_started;
+        obs::Counter* directories_elected;
+        obs::Counter* handovers;
+        obs::Counter* summary_pushes;
+        obs::Counter* summary_pulls;
+        obs::Counter* summary_pull_replies;
+        obs::Counter* bloom_false_positives;
+        obs::Counter* bloom_wire_rejected;
+        obs::Counter* summary_bytes_sent;
+        obs::Counter* summary_delta_pushes;
+        obs::Counter* forwards_saved_exact;
+        obs::Counter* pending_reaped;
+        obs::Counter* publishes_acked;
+        obs::Counter* publishes_retried;
+        obs::Counter* publishes_expired;
+        obs::Counter* publish_nacks;
+        obs::Counter* duplicates_dropped;
+        obs::Counter* malformed_publishes;
+        obs::Counter* malformed_requests;
+        obs::Gauge* requests_in_flight;
+        obs::Gauge* directories;
+        obs::Gauge* retry_backlog;
+        obs::Gauge* publish_outstanding;
+        obs::Gauge* deferred_publishes;
+        obs::Gauge* deferred_requests;
+        obs::Histogram* response_ms;
+        obs::Histogram* directory_compute_ms;
     };
 
     std::unique_ptr<Transport> transport_;
     ProtocolConfig config_;
     encoding::KnowledgeBase* kb_;
+    std::unique_ptr<obs::MetricsRegistry> own_registry_;  ///< when none passed
     Metrics metrics_;
     std::vector<std::unique_ptr<NodeState>> nodes_;
     std::unordered_map<std::uint64_t, DiscoveryOutcome> outcomes_;

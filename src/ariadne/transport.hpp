@@ -74,9 +74,10 @@ public:
     /// (tests) but not thread-safe.
     virtual void set_delivery_handler(DeliveryHandler handler) = 0;
 
-    /// Mirrors transport counters into `registry` (nullptr detaches). The
+    /// Counts traffic into `registry` (`sim.*` / `transport.*`) from now
+    /// on, instead of the registry the transport owns until then. The
     /// registry must outlive the transport.
-    virtual void set_metrics(obs::MetricsRegistry* registry) = 0;
+    virtual void set_metrics(obs::MetricsRegistry& registry) = 0;
 
     // --- data plane -----------------------------------------------------
 
@@ -127,10 +128,6 @@ public:
 
     /// Radio/link degree of `node` (election fitness).
     virtual std::size_t degree(net::NodeId node) const = 0;
-
-    // --- accounting -----------------------------------------------------
-
-    virtual const net::TrafficStats& stats() const = 0;
 };
 
 }  // namespace sariadne::ariadne

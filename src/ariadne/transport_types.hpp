@@ -1,14 +1,14 @@
 // Transport-neutral vocabulary shared by the protocol layer and every
 // concrete transport. These types describe *what* moves between nodes,
 // not *how*: the discrete-event simulator (net/simulator.hpp) and the
-// real socket transport (net/event_loop.hpp) both address `NodeId`s,
-// deliver `Message`s, and account traffic in a `TrafficStats`. A
-// Message's body is the wire codec's own WireMessage (ariadne/wire.hpp):
-// the protocol has one message vocabulary on every transport. They live
-// in src/ariadne (below src/net in the layer DAG) so the protocol layer
-// compiles against this header alone — never against a concrete
-// transport — and they stay in namespace sariadne::net because they name
-// the network-facing contract, wherever a transport implements it.
+// real socket transport (net/event_loop.hpp) both address `NodeId`s and
+// deliver `Message`s. A Message's body is the wire codec's own
+// WireMessage (ariadne/wire.hpp): the protocol has one message vocabulary
+// on every transport. They live in src/ariadne (below src/net in the
+// layer DAG) so the protocol layer compiles against this header alone —
+// never against a concrete transport — and they stay in namespace
+// sariadne::net because they name the network-facing contract, wherever
+// a transport implements it.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,8 @@
 #include <utility>
 
 #include "ariadne/wire.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 
 namespace sariadne::net {
 
@@ -53,9 +55,10 @@ inline Message make_message(ariadne::wire::Payload payload) {
     return msg;
 }
 
-/// Traffic counters, aggregated over the run. The simulator fills every
-/// field; the socket transport has no radio, so the link/fault series stay
-/// zero there and `bytes_transmitted` counts real socket bytes.
+/// The simulator's traffic counters, aggregated over the run: a view of
+/// the `sim.*` counters of a registry (read_traffic). The socket transport
+/// counts its traffic under `transport.*` instead, so this view of its
+/// registry reads zero.
 struct TrafficStats {
     std::uint64_t unicasts = 0;          ///< unicast sends
     std::uint64_t broadcasts = 0;        ///< broadcast initiations
@@ -67,12 +70,42 @@ struct TrafficStats {
     std::uint64_t faults_duplicated = 0; ///< deliveries echoed by the FaultPlan
     std::uint64_t faults_crashes = 0;    ///< scheduled node downs executed
     std::uint64_t faults_recoveries = 0; ///< scheduled node ups executed
-    /// Deliveries by wire::to_string(type).
+    /// Deliveries by wire::to_string(type), for every type delivered at
+    /// least once.
     std::map<std::string, std::uint64_t> per_type;
 
     /// Replay determinism check: two runs with the same seed and fault
     /// plan must produce identical traffic.
     friend bool operator==(const TrafficStats&, const TrafficStats&) = default;
 };
+
+/// The `sim.*` counters of `registry` (zero where absent).
+inline TrafficStats read_traffic(const obs::MetricsRegistry& registry) {
+    namespace names = obs::names;
+    TrafficStats stats;
+    stats.unicasts = registry.counter_value(names::kSimUnicasts);
+    stats.broadcasts = registry.counter_value(names::kSimBroadcasts);
+    stats.deliveries = registry.counter_value(names::kSimDeliveries);
+    stats.link_transmissions =
+        registry.counter_value(names::kSimLinkTransmissions);
+    stats.bytes_transmitted =
+        registry.counter_value(names::kSimBytesTransmitted);
+    stats.dropped_unreachable =
+        registry.counter_value(names::kSimDroppedUnreachable);
+    stats.faults_dropped = registry.counter_value(names::kSimFaultsDropped);
+    stats.faults_duplicated =
+        registry.counter_value(names::kSimFaultsDuplicated);
+    stats.faults_crashes = registry.counter_value(names::kSimFaultsCrashes);
+    stats.faults_recoveries =
+        registry.counter_value(names::kSimFaultsRecoveries);
+    for (std::size_t id = 1; id <= ariadne::wire::kMsgTypeCount; ++id) {
+        const char* type =
+            ariadne::wire::to_string(static_cast<ariadne::wire::MsgType>(id));
+        const std::uint64_t delivered =
+            registry.counter_value(names::sim_deliveries_by_type(type));
+        if (delivered > 0) stats.per_type[type] = delivered;
+    }
+    return stats;
+}
 
 }  // namespace sariadne::net

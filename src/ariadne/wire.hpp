@@ -193,7 +193,9 @@ using Payload =
 template <MsgType T, typename P>
 inline constexpr bool kPayloadOf = std::is_same_v<
     std::variant_alternative_t<static_cast<std::size_t>(T) - 1, Payload>, P>;
-static_assert(std::variant_size_v<Payload> ==
+/// How many message types there are: wire ids run from 1 to this.
+inline constexpr std::size_t kMsgTypeCount = std::variant_size_v<Payload>;
+static_assert(kMsgTypeCount ==
               static_cast<std::size_t>(MsgType::kSummaryDelta));
 static_assert(
     kPayloadOf<MsgType::kDirAdv, DirAdv> &&

@@ -24,7 +24,7 @@ void DagIndex::insert(DagEntry entry, matching::DistanceOracle& oracle,
     Shard& shard = shards_[shard_of(entry.capability.ontologies)];
     std::unique_lock lock(shard.mutex, std::try_to_lock);
     if (!lock.owns_lock()) {
-        if (contention_ != nullptr) contention_->inc();
+        contention_.inc();
         lock.lock();
     }
     CapabilityDag& dag = dag_for_locked(shard, entry.capability.ontologies);
@@ -77,7 +77,7 @@ std::size_t DagIndex::insert_batch(std::vector<DagEntry> entries,
         Shard& shard = shards_[shard_index];
         std::unique_lock lock(shard.mutex, std::try_to_lock);
         if (!lock.owns_lock()) {
-            if (contention_ != nullptr) contention_->inc();
+            contention_.inc();
             lock.lock();
         }
         for (; i < end; ++i) {
@@ -182,7 +182,7 @@ void DagIndex::query_all_into(const ResolvedCapability& request,
         }
         std::shared_lock lock(shard.mutex, std::try_to_lock);
         if (!lock.owns_lock()) {
-            if (contention_ != nullptr) contention_->inc();
+            contention_.inc();
             lock.lock();
         }
         for (const auto& dag : shard.dags) {
@@ -230,7 +230,7 @@ std::vector<MatchHit> DagIndex::query(const ResolvedCapability& request,
         }
         std::shared_lock lock(shard.mutex, std::try_to_lock);
         if (!lock.owns_lock()) {
-            if (contention_ != nullptr) contention_->inc();
+            contention_.inc();
             lock.lock();
         }
         for (const auto& dag : shard.dags) {

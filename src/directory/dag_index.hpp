@@ -48,11 +48,17 @@ class DagIndex {
 public:
     static constexpr std::size_t kDefaultShardCount = 16;
 
-    explicit DagIndex(std::size_t shard_count = kDefaultShardCount,
+    /// `contention` counts shard-lock acquisitions that could not proceed
+    /// immediately (try-lock failed before blocking): the observable cost
+    /// of sharing a shard between publishers and queriers. It must outlive
+    /// the index.
+    explicit DagIndex(obs::Counter& contention,
+                      std::size_t shard_count = kDefaultShardCount,
                       DagTuning tuning = {})
         : shard_count_(shard_count == 0 ? 1 : shard_count),
           shards_(std::make_unique<Shard[]>(shard_count_)),
-          tuning_(tuning) {}
+          tuning_(tuning),
+          contention_(contention) {}
 
     DagIndex(const DagIndex&) = delete;
     DagIndex& operator=(const DagIndex&) = delete;
@@ -117,14 +123,6 @@ public:
     /// and tests; do not retain the reference past the callback).
     void for_each_dag(const std::function<void(const CapabilityDag&)>& visit) const;
 
-    /// Counts shard-lock acquisitions that could not proceed immediately
-    /// (try-lock failed before blocking) — the observable cost of sharing
-    /// a shard between publishers and queriers. Set once, before the index
-    /// sees concurrent traffic; nullptr disables counting.
-    void set_contention_counter(obs::Counter* counter) noexcept {
-        contention_ = counter;
-    }
-
 private:
     struct Shard {
         /// All shards share one rank — probes hold a single shard lock at
@@ -165,7 +163,7 @@ private:
     std::size_t shard_count_;
     std::unique_ptr<Shard[]> shards_;
     DagTuning tuning_;
-    obs::Counter* contention_ = nullptr;
+    obs::Counter& contention_;
 };
 
 }  // namespace sariadne::directory

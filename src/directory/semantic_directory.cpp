@@ -5,17 +5,42 @@
 #include <utility>
 
 #include "description/conversation.hpp"
+#include "obs/metric_names.hpp"
 #include "support/arena.hpp"
 #include "support/errors.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sariadne::directory {
 
+SemanticDirectory::Metrics::Metrics(obs::MetricsRegistry& target)
+    : registry(&target),
+      publishes(&target.counter(obs::names::kDirectoryPublishes)),
+      removals(&target.counter(obs::names::kDirectoryRemovals)),
+      queries(&target.counter(obs::names::kDirectoryQueries)),
+      summary_rebuilds(&target.counter(obs::names::kDirectorySummaryRebuilds)),
+      capability_matches(
+          &target.counter(obs::names::kDirectoryCapabilityMatches)),
+      concept_queries(&target.counter(obs::names::kDirectoryConceptQueries)),
+      dags_visited(&target.counter(obs::names::kDirectoryDagsVisited)),
+      dags_pruned(&target.counter(obs::names::kDirectoryDagsPruned)),
+      quick_rejects(&target.counter(obs::names::kMatchingQuickRejects)),
+      reachability_prunes(
+          &target.counter(obs::names::kMatchingReachabilityPrunes)),
+      query_allocs(&target.counter(obs::names::kMatchingQueryAllocs)),
+      publish_batches(&target.counter(obs::names::kDirectoryPublishBatches)),
+      shard_contention(&target.counter(obs::names::kDirectoryShardContention)),
+      services(&target.gauge(obs::names::kDirectoryServices)),
+      publish_parse_ms(&target.histogram(obs::names::kDirectoryPublishParseMs)),
+      publish_insert_ms(
+          &target.histogram(obs::names::kDirectoryPublishInsertMs)),
+      query_parse_ms(&target.histogram(obs::names::kDirectoryQueryParseMs)),
+      query_match_ms(&target.histogram(obs::names::kDirectoryQueryMatchMs)) {}
+
 PublishReceipt SemanticDirectory::publish_xml(std::string_view xml_text) {
     Stopwatch stopwatch;
     desc::ServiceDescription service = desc::parse_service(xml_text);
     const double parse_ms = stopwatch.elapsed_ms();
-    if (metrics_.publish_parse_ms) metrics_.publish_parse_ms->observe(parse_ms);
+    metrics_.publish_parse_ms->observe(parse_ms);
     PublishReceipt receipt = publish(std::move(service));
     receipt.timing.parse_ms = parse_ms;
     return receipt;
@@ -117,11 +142,9 @@ PublishReceipt SemanticDirectory::publish(desc::ServiceDescription service) {
     PublishReceipt receipt;
     receipt.id = id;
     receipt.timing.insert_ms = stopwatch.elapsed_ms();
-    if (metrics_.publishes) metrics_.publishes->inc();
-    if (metrics_.services && replaced == 0) metrics_.services->add(1);
-    if (metrics_.publish_insert_ms) {
-        metrics_.publish_insert_ms->observe(receipt.timing.insert_ms);
-    }
+    metrics_.publishes->inc();
+    if (replaced == 0) metrics_.services->add(1);
+    metrics_.publish_insert_ms->observe(receipt.timing.insert_ms);
     return receipt;
 }
 
@@ -216,15 +239,11 @@ std::vector<PublishReceipt> SemanticDirectory::publish_batch(
         receipt.id = p.id;
         receipt.timing.insert_ms = amortized_ms;
         receipts.push_back(receipt);
-        if (metrics_.publish_insert_ms) {
-            metrics_.publish_insert_ms->observe(amortized_ms);
-        }
+        metrics_.publish_insert_ms->observe(amortized_ms);
     }
-    if (metrics_.publishes) metrics_.publishes->inc(prepared.size());
-    if (metrics_.publish_batches) metrics_.publish_batches->inc();
-    if (metrics_.services && fresh_names > 0) {
-        metrics_.services->add(static_cast<std::int64_t>(fresh_names));
-    }
+    metrics_.publishes->inc(prepared.size());
+    metrics_.publish_batches->inc();
+    metrics_.services->add(static_cast<std::int64_t>(fresh_names));
     return receipts;
 }
 
@@ -249,8 +268,8 @@ bool SemanticDirectory::remove(ServiceId service) {
         std::lock_guard lock(summary_mutex_);
         rebuild_summary_locked(summary_.update({}, {&contributions}));
     }
-    if (metrics_.removals) metrics_.removals->inc();
-    if (metrics_.services) metrics_.services->sub(1);
+    metrics_.removals->inc();
+    metrics_.services->sub(1);
     return true;
 }
 
@@ -259,7 +278,7 @@ QueryResult SemanticDirectory::query_xml(std::string_view xml_text,
     Stopwatch stopwatch;
     const desc::ServiceRequest request = desc::parse_request(xml_text);
     const double parse_ms = stopwatch.elapsed_ms();
-    if (metrics_.query_parse_ms) metrics_.query_parse_ms->observe(parse_ms);
+    metrics_.query_parse_ms->observe(parse_ms);
     QueryResult result = query(request, options);
     result.timing.parse_ms = parse_ms;
     return result;
@@ -316,10 +335,8 @@ void SemanticDirectory::run_query(
     }
     apply_require_all(out, options);
     out.timing.match_ms = stopwatch.elapsed_ms();
-    if (metrics_.queries) metrics_.queries->inc();
-    if (metrics_.query_match_ms) {
-        metrics_.query_match_ms->observe(out.timing.match_ms);
-    }
+    metrics_.queries->inc();
+    metrics_.query_match_ms->observe(out.timing.match_ms);
 }
 
 std::vector<MatchHit> SemanticDirectory::query_capability(
@@ -505,19 +522,13 @@ void SemanticDirectory::accumulate_lifetime(const MatchStats& stats) const noexc
                                        std::memory_order_relaxed);
     // Mirror the same relaxed deltas into the registry so external sinks
     // see live work counters without a snapshot call.
-    if (metrics_.capability_matches) {
-        metrics_.capability_matches->inc(stats.capability_matches);
-    }
-    if (metrics_.concept_queries) {
-        metrics_.concept_queries->inc(stats.concept_queries);
-    }
-    if (metrics_.dags_visited) metrics_.dags_visited->inc(stats.dags_visited);
-    if (metrics_.dags_pruned) metrics_.dags_pruned->inc(stats.dags_pruned);
-    if (metrics_.quick_rejects) metrics_.quick_rejects->inc(stats.quick_rejects);
-    if (metrics_.reachability_prunes) {
-        metrics_.reachability_prunes->inc(stats.reachability_prunes);
-    }
-    if (metrics_.query_allocs) metrics_.query_allocs->inc(stats.scratch_allocs);
+    metrics_.capability_matches->inc(stats.capability_matches);
+    metrics_.concept_queries->inc(stats.concept_queries);
+    metrics_.dags_visited->inc(stats.dags_visited);
+    metrics_.dags_pruned->inc(stats.dags_pruned);
+    metrics_.quick_rejects->inc(stats.quick_rejects);
+    metrics_.reachability_prunes->inc(stats.reachability_prunes);
+    metrics_.query_allocs->inc(stats.scratch_allocs);
 }
 
 MatchStats SemanticDirectory::lifetime_stats() const noexcept {
@@ -571,7 +582,7 @@ std::size_t SemanticDirectory::summary_refcount_entries() const {
 
 void SemanticDirectory::rebuild_summary_locked(summary::Rebuild how) {
     if (how == summary::Rebuild::kNone) return;
-    if (metrics_.summary_rebuilds) metrics_.summary_rebuilds->inc();
+    metrics_.summary_rebuilds->inc();
     // Lock order (summary before services) matches every other path that
     // holds both; publish touches them one at a time. Reprojection is rare
     // by design: its trigger, a code-table generation change, needs an

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -35,7 +36,6 @@
 #include "directory/types.hpp"
 #include "reasoner/knowledge_base.hpp"
 #include "matching/oracles.hpp"
-#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "summary/routing_summary.hpp"
 #include "support/lock_rank.hpp"
@@ -70,50 +70,23 @@ class SemanticDirectory {
 public:
     /// The directory consults (and shares) a knowledge base of ontologies;
     /// the caller keeps ownership (several directories of one simulated
-    /// node set typically share one KB). When `metrics` is non-null the
-    /// directory reports `directory.*` phase latencies and work counters
-    /// into it; several directories may share one registry (their counts
-    /// aggregate). The registry must outlive the directory.
+    /// node set typically share one KB). The directory reports
+    /// `directory.*` phase latencies and work counters into `metrics`, or
+    /// into a registry of its own when `metrics` is null; several
+    /// directories may share one registry (their counts aggregate). A
+    /// caller's registry must outlive the directory.
     explicit SemanticDirectory(encoding::KnowledgeBase& kb,
                                SummaryConfig summary_config = {},
                                obs::MetricsRegistry* metrics = nullptr,
                                DagTuning tuning = {})
         : kb_(&kb),
-          dags_(DagIndex::kDefaultShardCount, tuning),
-          summary_(summary_config.backend, summary_config.bloom) {
-        if (metrics != nullptr) {
-            metrics_.registry = metrics;
-            metrics_.publishes = &metrics->counter(obs::names::kDirectoryPublishes);
-            metrics_.removals = &metrics->counter(obs::names::kDirectoryRemovals);
-            metrics_.queries = &metrics->counter(obs::names::kDirectoryQueries);
-            metrics_.summary_rebuilds =
-                &metrics->counter(obs::names::kDirectorySummaryRebuilds);
-            metrics_.capability_matches =
-                &metrics->counter(obs::names::kDirectoryCapabilityMatches);
-            metrics_.concept_queries =
-                &metrics->counter(obs::names::kDirectoryConceptQueries);
-            metrics_.dags_visited = &metrics->counter(obs::names::kDirectoryDagsVisited);
-            metrics_.dags_pruned = &metrics->counter(obs::names::kDirectoryDagsPruned);
-            metrics_.quick_rejects = &metrics->counter(obs::names::kMatchingQuickRejects);
-            metrics_.reachability_prunes =
-                &metrics->counter(obs::names::kMatchingReachabilityPrunes);
-            metrics_.query_allocs =
-                &metrics->counter(obs::names::kMatchingQueryAllocs);
-            metrics_.publish_batches =
-                &metrics->counter(obs::names::kDirectoryPublishBatches);
-            metrics_.services = &metrics->gauge(obs::names::kDirectoryServices);
-            metrics_.publish_parse_ms =
-                &metrics->histogram(obs::names::kDirectoryPublishParseMs);
-            metrics_.publish_insert_ms =
-                &metrics->histogram(obs::names::kDirectoryPublishInsertMs);
-            metrics_.query_parse_ms =
-                &metrics->histogram(obs::names::kDirectoryQueryParseMs);
-            metrics_.query_match_ms =
-                &metrics->histogram(obs::names::kDirectoryQueryMatchMs);
-            dags_.set_contention_counter(
-                &metrics->counter(obs::names::kDirectoryShardContention));
-        }
-    }
+          own_registry_(metrics == nullptr
+                            ? std::make_unique<obs::MetricsRegistry>()
+                            : nullptr),
+          metrics_(metrics != nullptr ? *metrics : *own_registry_),
+          dags_(*metrics_.shard_contention, DagIndex::kDefaultShardCount,
+                tuning),
+          summary_(summary_config.backend, summary_config.bloom) {}
 
     SemanticDirectory(const SemanticDirectory&) = delete;
     SemanticDirectory& operator=(const SemanticDirectory&) = delete;
@@ -231,8 +204,15 @@ public:
     /// remove/republish runs grow the map unboundedly.
     std::size_t summary_refcount_entries() const;
 
-    /// Snapshot of the cumulative match statistics across all operations.
+    /// Snapshot of the cumulative match statistics across all operations
+    /// of this directory (the registry's counters aggregate over every
+    /// directory that shares it).
     MatchStats lifetime_stats() const noexcept;
+
+    /// The registry the directory reports into: the caller's, or its own.
+    obs::MetricsRegistry& metrics() const noexcept {
+        return *metrics_.registry;
+    }
 
     encoding::KnowledgeBase& knowledge_base() noexcept { return *kb_; }
 
@@ -264,29 +244,34 @@ private:
     /// a reprojection writes the refreshed contributions back.
     void rebuild_summary_locked(summary::Rebuild how);
 
-    /// Cached registry handles; all null when uninstrumented.
+    /// Handles into the registry the directory reports into, all resolved
+    /// by the constructor.
     struct Metrics {
-        obs::MetricsRegistry* registry = nullptr;
-        obs::Counter* publishes = nullptr;
-        obs::Counter* removals = nullptr;
-        obs::Counter* queries = nullptr;
-        obs::Counter* summary_rebuilds = nullptr;
-        obs::Counter* capability_matches = nullptr;
-        obs::Counter* concept_queries = nullptr;
-        obs::Counter* dags_visited = nullptr;
-        obs::Counter* dags_pruned = nullptr;
-        obs::Counter* quick_rejects = nullptr;
-        obs::Counter* reachability_prunes = nullptr;
-        obs::Counter* query_allocs = nullptr;
-        obs::Counter* publish_batches = nullptr;
-        obs::Gauge* services = nullptr;
-        obs::Histogram* publish_parse_ms = nullptr;
-        obs::Histogram* publish_insert_ms = nullptr;
-        obs::Histogram* query_parse_ms = nullptr;
-        obs::Histogram* query_match_ms = nullptr;
+        explicit Metrics(obs::MetricsRegistry& target);
+
+        obs::MetricsRegistry* registry;
+        obs::Counter* publishes;
+        obs::Counter* removals;
+        obs::Counter* queries;
+        obs::Counter* summary_rebuilds;
+        obs::Counter* capability_matches;
+        obs::Counter* concept_queries;
+        obs::Counter* dags_visited;
+        obs::Counter* dags_pruned;
+        obs::Counter* quick_rejects;
+        obs::Counter* reachability_prunes;
+        obs::Counter* query_allocs;
+        obs::Counter* publish_batches;
+        obs::Counter* shard_contention;
+        obs::Gauge* services;
+        obs::Histogram* publish_parse_ms;
+        obs::Histogram* publish_insert_ms;
+        obs::Histogram* query_parse_ms;
+        obs::Histogram* query_match_ms;
     };
 
     encoding::KnowledgeBase* kb_;
+    std::unique_ptr<obs::MetricsRegistry> own_registry_;  ///< when none passed
     Metrics metrics_;
     DagIndex dags_;
 

@@ -114,32 +114,27 @@ void EventLoopTransport::set_delivery_handler(DeliveryHandler handler) {
     handler_ = std::move(handler);
 }
 
-void EventLoopTransport::set_metrics(obs::MetricsRegistry* registry) {
-    metrics_ = Metrics{};
-    if (registry == nullptr) return;
-    metrics_.registry = registry;
-    metrics_.connections_accepted =
-        &registry->counter(obs::names::kTransportConnectionsAccepted);
-    metrics_.connections_closed =
-        &registry->counter(obs::names::kTransportConnectionsClosed);
-    metrics_.connections_rejected =
-        &registry->counter(obs::names::kTransportConnectionsRejected);
-    metrics_.connections_active =
-        &registry->gauge(obs::names::kTransportConnectionsActive);
-    metrics_.frames_sent = &registry->counter(obs::names::kTransportFramesSent);
-    metrics_.frames_received =
-        &registry->counter(obs::names::kTransportFramesReceived);
-    metrics_.bytes_sent = &registry->counter(obs::names::kTransportBytesSent);
-    metrics_.bytes_received =
-        &registry->counter(obs::names::kTransportBytesReceived);
-    metrics_.decode_errors =
-        &registry->counter(obs::names::kTransportDecodeErrors);
-    metrics_.oversized_frames =
-        &registry->counter(obs::names::kTransportOversizedFrames);
-    metrics_.backpressure_drops =
-        &registry->counter(obs::names::kTransportBackpressureDrops);
-    metrics_.write_queue_bytes =
-        &registry->gauge(obs::names::kTransportWriteQueueBytes);
+EventLoopTransport::Metrics::Metrics(obs::MetricsRegistry& target)
+    : connections_accepted(
+          &target.counter(obs::names::kTransportConnectionsAccepted)),
+      connections_closed(
+          &target.counter(obs::names::kTransportConnectionsClosed)),
+      connections_rejected(
+          &target.counter(obs::names::kTransportConnectionsRejected)),
+      connections_active(
+          &target.gauge(obs::names::kTransportConnectionsActive)),
+      frames_sent(&target.counter(obs::names::kTransportFramesSent)),
+      frames_received(&target.counter(obs::names::kTransportFramesReceived)),
+      bytes_sent(&target.counter(obs::names::kTransportBytesSent)),
+      bytes_received(&target.counter(obs::names::kTransportBytesReceived)),
+      decode_errors(&target.counter(obs::names::kTransportDecodeErrors)),
+      oversized_frames(&target.counter(obs::names::kTransportOversizedFrames)),
+      backpressure_drops(
+          &target.counter(obs::names::kTransportBackpressureDrops)),
+      write_queue_bytes(&target.gauge(obs::names::kTransportWriteQueueBytes)) {}
+
+void EventLoopTransport::set_metrics(obs::MetricsRegistry& registry) {
+    metrics_ = Metrics(registry);
 }
 
 SimTime EventLoopTransport::now() const {
@@ -211,28 +206,23 @@ void EventLoopTransport::enqueue_frame(NodeId to, const Message& msg) {
     Connection& conn = conns_[to];
     const std::vector<std::uint8_t> body = ariadne::wire::encode(msg.body);
     if (body.size() > config_.max_frame_bytes) {
-        if (metrics_.oversized_frames) metrics_.oversized_frames->inc();
+        metrics_.oversized_frames->inc();
         return;
     }
     if (conn.queued_bytes + body.size() > config_.write_queue_limit_bytes) {
-        if (metrics_.backpressure_drops) metrics_.backpressure_drops->inc();
+        metrics_.backpressure_drops->inc();
         return;
     }
     std::vector<std::uint8_t> frame(kFramePrefixBytes + body.size());
     write_le32(frame.data(), static_cast<std::uint32_t>(body.size()));
     std::memcpy(frame.data() + kFramePrefixBytes, body.data(), body.size());
     conn.queued_bytes += frame.size();
-    if (metrics_.write_queue_bytes) {
-        metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame.size()));
-    }
+    metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame.size()));
     conn.write_queue.push_back(std::move(frame));
-    if (metrics_.frames_sent) metrics_.frames_sent->inc();
-    stats_.bytes_transmitted += kFramePrefixBytes + body.size();
-    stats_.link_transmissions += 1;
+    metrics_.frames_sent->inc();
 }
 
 void EventLoopTransport::unicast(NodeId from, NodeId to, Message msg) {
-    stats_.unicasts += 1;
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
     if (to == 0) {
@@ -241,16 +231,12 @@ void EventLoopTransport::unicast(NodeId from, NodeId to, Message msg) {
         local_.push_back(std::move(msg));
         return;
     }
-    if (!is_up(to)) {
-        stats_.dropped_unreachable += 1;
-        return;
-    }
+    if (!is_up(to)) return;  // the peer hung up
     enqueue_frame(to, msg);
 }
 
 void EventLoopTransport::broadcast(NodeId from, std::uint32_t ttl_hops,
                                    Message msg) {
-    stats_.broadcasts += 1;
     if (ttl_hops == 0) return;
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
@@ -278,13 +264,9 @@ void EventLoopTransport::flush_writes(NodeId slot) {
             close_connection(slot);
             return;
         }
-        if (metrics_.bytes_sent) {
-            metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
-        }
+        metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
         conn.queued_bytes -= static_cast<std::size_t>(sent);
-        if (metrics_.write_queue_bytes) {
-            metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
-        }
+        metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
         conn.write_off += static_cast<std::size_t>(sent);
         if (conn.write_off < front.size()) return;  // short write
         conn.write_off = 0;
@@ -299,9 +281,7 @@ void EventLoopTransport::deliver_inbound(NodeId from, Message msg) {
     // node ids the peer wrote into the payload.
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
-    stats_.deliveries += 1;
-    stats_.per_type[ariadne::wire::to_string(msg.body.type)] += 1;
-    if (metrics_.frames_received) metrics_.frames_received->inc();
+    metrics_.frames_received->inc();
     if (handler_) handler_(0, msg);
 }
 
@@ -327,17 +307,14 @@ void EventLoopTransport::read_ready(NodeId slot) {
             return;
         }
         conn.read_end += static_cast<std::size_t>(got);
-        if (metrics_.bytes_received) {
-            metrics_.bytes_received->inc(static_cast<std::uint64_t>(got));
-        }
-        stats_.bytes_transmitted += static_cast<std::uint64_t>(got);
+        metrics_.bytes_received->inc(static_cast<std::uint64_t>(got));
 
         // Extract every complete frame in the buffer.
         while (conn.read_end - conn.read_pos >= kFramePrefixBytes) {
             const std::uint32_t frame_len =
                 read_le32(conn.read_buf.data() + conn.read_pos);
             if (frame_len > config_.max_frame_bytes) {
-                if (metrics_.oversized_frames) metrics_.oversized_frames->inc();
+                metrics_.oversized_frames->inc();
                 close_connection(slot);
                 return;
             }
@@ -351,7 +328,7 @@ void EventLoopTransport::read_ready(NodeId slot) {
             conn.read_pos += kFramePrefixBytes + frame_len;
             auto decoded = ariadne::wire::try_decode(datagram);
             if (!decoded) {
-                if (metrics_.decode_errors) metrics_.decode_errors->inc();
+                metrics_.decode_errors->inc();
                 close_connection(slot);
                 return;
             }
@@ -388,9 +365,7 @@ void EventLoopTransport::accept_ready() {
             }
         }
         if (slot == 0) {
-            if (metrics_.connections_rejected) {
-                metrics_.connections_rejected->inc();
-            }
+            metrics_.connections_rejected->inc();
             ::close(fd);
             continue;
         }
@@ -405,11 +380,9 @@ void EventLoopTransport::accept_ready() {
         conn.write_off = 0;
         conn.queued_bytes = 0;
         ++live_count_;
-        if (metrics_.connections_accepted) metrics_.connections_accepted->inc();
-        if (metrics_.connections_active) {
-            metrics_.connections_active->set(
-                static_cast<std::int64_t>(live_count_));
-        }
+        metrics_.connections_accepted->inc();
+        metrics_.connections_active->set(
+            static_cast<std::int64_t>(live_count_));
     }
 }
 
@@ -418,21 +391,16 @@ void EventLoopTransport::close_connection(NodeId slot) {
     if (!conn.live()) return;
     ::close(conn.fd);
     conn.fd = -1;
-    if (metrics_.write_queue_bytes && conn.queued_bytes > 0) {
-        metrics_.write_queue_bytes->sub(
-            static_cast<std::int64_t>(conn.queued_bytes));
-    }
+    metrics_.write_queue_bytes->sub(
+        static_cast<std::int64_t>(conn.queued_bytes));
     conn.read_pos = 0;
     conn.read_end = 0;
     conn.write_queue.clear();
     conn.write_off = 0;
     conn.queued_bytes = 0;
     --live_count_;
-    if (metrics_.connections_closed) metrics_.connections_closed->inc();
-    if (metrics_.connections_active) {
-        metrics_.connections_active->set(
-            static_cast<std::int64_t>(live_count_));
-    }
+    metrics_.connections_closed->inc();
+    metrics_.connections_active->set(static_cast<std::int64_t>(live_count_));
 }
 
 // --- reactor ---------------------------------------------------------------
@@ -462,8 +430,6 @@ void EventLoopTransport::drain_local() {
         std::vector<Message> batch;
         batch.swap(local_);
         for (Message& msg : batch) {
-            stats_.deliveries += 1;
-            stats_.per_type[ariadne::wire::to_string(msg.body.type)] += 1;
             if (handler_) handler_(0, msg);
         }
     }

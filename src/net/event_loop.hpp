@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -108,7 +109,7 @@ public:
     // --- Transport -------------------------------------------------------
 
     void set_delivery_handler(DeliveryHandler handler) override;
-    void set_metrics(obs::MetricsRegistry* registry) override;
+    void set_metrics(obs::MetricsRegistry& registry) override;
     void unicast(NodeId from, NodeId to, Message msg) override;
     void broadcast(NodeId from, std::uint32_t ttl_hops, Message msg) override;
     SimTime now() const override;
@@ -126,7 +127,6 @@ public:
         return node == 0;
     }
     std::size_t degree(NodeId node) const override;
-    const TrafficStats& stats() const override { return stats_; }
 
 private:
     struct Connection {
@@ -153,21 +153,23 @@ private:
         }
     };
 
-    /// Cached registry handles (all null when detached).
+    /// Handles into the registry the transport counts into, all resolved
+    /// by the constructor.
     struct Metrics {
-        obs::MetricsRegistry* registry = nullptr;
-        obs::Counter* connections_accepted = nullptr;
-        obs::Counter* connections_closed = nullptr;
-        obs::Counter* connections_rejected = nullptr;
-        obs::Gauge* connections_active = nullptr;
-        obs::Counter* frames_sent = nullptr;
-        obs::Counter* frames_received = nullptr;
-        obs::Counter* bytes_sent = nullptr;
-        obs::Counter* bytes_received = nullptr;
-        obs::Counter* decode_errors = nullptr;
-        obs::Counter* oversized_frames = nullptr;
-        obs::Counter* backpressure_drops = nullptr;
-        obs::Gauge* write_queue_bytes = nullptr;
+        explicit Metrics(obs::MetricsRegistry& target);
+
+        obs::Counter* connections_accepted;
+        obs::Counter* connections_closed;
+        obs::Counter* connections_rejected;
+        obs::Gauge* connections_active;
+        obs::Counter* frames_sent;
+        obs::Counter* frames_received;
+        obs::Counter* bytes_sent;
+        obs::Counter* bytes_received;
+        obs::Counter* decode_errors;
+        obs::Counter* oversized_frames;
+        obs::Counter* backpressure_drops;
+        obs::Gauge* write_queue_bytes;
     };
 
     /// One reactor iteration: expire timers, drain posts/local deliveries,
@@ -201,8 +203,9 @@ private:
     std::vector<pollfd> poll_fds_;
     std::vector<NodeId> poll_slots_;
     bool stop_requested_ = false;
-    TrafficStats stats_;
-    Metrics metrics_;
+    std::unique_ptr<obs::MetricsRegistry> own_registry_ =
+        std::make_unique<obs::MetricsRegistry>();
+    Metrics metrics_{*own_registry_};
 
     support::RankedMutex post_mutex_{support::LockRank::kTransportQueue};
     std::vector<std::function<void()>> posted_;

@@ -19,17 +19,12 @@
 
 namespace sariadne::ariadne {
 
-class SimTransport final : public Transport, private net::NodeApp {
+class SimTransport final : public Transport {
 public:
     explicit SimTransport(net::Topology topology,
                           double per_hop_latency_ms = 2.0)
         : sim_(std::make_unique<net::Simulator>(std::move(topology),
-                                                per_hop_latency_ms)) {
-        for (net::NodeId node = 0; node < sim_->topology().node_count();
-             ++node) {
-            sim_->attach(node, this);
-        }
-    }
+                                                per_hop_latency_ms)) {}
 
     /// The escape hatch: full simulator access (faults, mobility,
     /// topology mutation, stepping) for tests and benches.
@@ -39,10 +34,10 @@ public:
     // --- Transport -------------------------------------------------------
 
     void set_delivery_handler(DeliveryHandler handler) override {
-        handler_ = std::move(handler);
+        sim_->set_delivery_handler(std::move(handler));
     }
 
-    void set_metrics(obs::MetricsRegistry* registry) override {
+    void set_metrics(obs::MetricsRegistry& registry) override {
         sim_->set_metrics(registry);
     }
 
@@ -92,20 +87,8 @@ public:
         return sim_->topology().neighbors(node).size();
     }
 
-    const net::TrafficStats& stats() const override { return sim_->stats(); }
-
 private:
-    // --- net::NodeApp (delivery bridge) ----------------------------------
-
-    void on_start(net::Simulator&, net::NodeId) override {}
-
-    void on_message(net::Simulator&, net::NodeId self,
-                    const net::Message& msg) override {
-        if (handler_) handler_(self, msg);
-    }
-
     std::unique_ptr<net::Simulator> sim_;
-    DeliveryHandler handler_;
 };
 
 /// Convenience for tests/benches built on the simulator testbed: the

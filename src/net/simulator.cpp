@@ -9,25 +9,25 @@
 
 namespace sariadne::net {
 
-void Simulator::set_metrics(obs::MetricsRegistry* registry) {
-    if (registry == nullptr) {
-        metrics_ = Metrics{};
-        return;
+Simulator::Metrics::Metrics(obs::MetricsRegistry& target)
+    : registry(&target),
+      unicasts(&target.counter(obs::names::kSimUnicasts)),
+      broadcasts(&target.counter(obs::names::kSimBroadcasts)),
+      deliveries(&target.counter(obs::names::kSimDeliveries)),
+      link_transmissions(&target.counter(obs::names::kSimLinkTransmissions)),
+      bytes_transmitted(&target.counter(obs::names::kSimBytesTransmitted)),
+      dropped_unreachable(&target.counter(obs::names::kSimDroppedUnreachable)),
+      faults_dropped(&target.counter(obs::names::kSimFaultsDropped)),
+      faults_duplicated(&target.counter(obs::names::kSimFaultsDuplicated)),
+      faults_crashes(&target.counter(obs::names::kSimFaultsCrashes)),
+      faults_recoveries(&target.counter(obs::names::kSimFaultsRecoveries)),
+      pending_events(&target.gauge(obs::names::kSimPendingEvents)),
+      now_ms(&target.gauge(obs::names::kSimNowMs)) {
+    for (std::size_t i = 0; i < deliveries_by_type.size(); ++i) {
+        const auto type = static_cast<ariadne::wire::MsgType>(i + 1);
+        deliveries_by_type[i] = &target.counter(
+            obs::names::sim_deliveries_by_type(ariadne::wire::to_string(type)));
     }
-    metrics_.registry = registry;
-    metrics_.unicasts = &registry->counter(obs::names::kSimUnicasts);
-    metrics_.broadcasts = &registry->counter(obs::names::kSimBroadcasts);
-    metrics_.deliveries = &registry->counter(obs::names::kSimDeliveries);
-    metrics_.link_transmissions = &registry->counter(obs::names::kSimLinkTransmissions);
-    metrics_.bytes_transmitted = &registry->counter(obs::names::kSimBytesTransmitted);
-    metrics_.dropped_unreachable =
-        &registry->counter(obs::names::kSimDroppedUnreachable);
-    metrics_.faults_dropped = &registry->counter(obs::names::kSimFaultsDropped);
-    metrics_.faults_duplicated = &registry->counter(obs::names::kSimFaultsDuplicated);
-    metrics_.faults_crashes = &registry->counter(obs::names::kSimFaultsCrashes);
-    metrics_.faults_recoveries = &registry->counter(obs::names::kSimFaultsRecoveries);
-    metrics_.pending_events = &registry->gauge(obs::names::kSimPendingEvents);
-    metrics_.now_ms = &registry->gauge(obs::names::kSimNowMs);
 }
 
 void Simulator::set_faults(FaultPlan plan) {
@@ -39,18 +39,12 @@ void Simulator::set_faults(FaultPlan plan) {
         const NodeId node = window.node;
         schedule(window.down_at, [this, node] {
             topology_.set_up(node, false);
-            ++stats_.faults_crashes;
-            if (metrics_.faults_crashes != nullptr) {
-                metrics_.faults_crashes->inc();
-            }
+            metrics_.faults_crashes->inc();
         });
         if (window.up_at > window.down_at) {
             schedule(window.up_at, [this, node] {
                 topology_.set_up(node, true);
-                ++stats_.faults_recoveries;
-                if (metrics_.faults_recoveries != nullptr) {
-                    metrics_.faults_recoveries->inc();
-                }
+                metrics_.faults_recoveries->inc();
             });
         }
     }
@@ -63,18 +57,10 @@ void Simulator::schedule(SimTime delay_ms, std::function<void()> action) {
 
 void Simulator::deliver(NodeId to, const Message& msg) {
     if (!topology_.is_up(to)) return;  // went down while in flight
-    const char* type = ariadne::wire::to_string(msg.body.type);
-    ++stats_.deliveries;
-    ++stats_.per_type[type];
-    if (metrics_.deliveries != nullptr) {
-        metrics_.deliveries->inc();
-        // Per-type counters are looked up on demand: the type universe is
-        // small and stable, and the lookup cost sits on the (simulated)
-        // delivery path, not a real hot path.
-        metrics_.registry->counter(obs::names::sim_deliveries_by_type(type))
-            .inc();
-    }
-    if (apps_[to] != nullptr) apps_[to]->on_message(*this, to, msg);
+    metrics_.deliveries->inc();
+    metrics_.deliveries_by_type[static_cast<std::size_t>(msg.body.type) - 1]
+        ->inc();
+    if (handler_) handler_(to, msg);
 }
 
 void Simulator::schedule_delivery(NodeId from, NodeId to, SimTime delay_ms,
@@ -84,16 +70,14 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, SimTime delay_ms,
         return;
     }
     if (faults_.drop != nullptr && faults_.drop(from, to, msg)) {
-        ++stats_.faults_dropped;
-        if (metrics_.faults_dropped != nullptr) metrics_.faults_dropped->inc();
+        metrics_.faults_dropped->inc();
         return;
     }
     // The RNG draw order per delivery is fixed (loss, jitter, dup, dup
     // jitter) so the fault sequence replays exactly for a given seed.
     if (faults_.loss_probability > 0 &&
         fault_rng_.chance(faults_.loss_probability)) {
-        ++stats_.faults_dropped;
-        if (metrics_.faults_dropped != nullptr) metrics_.faults_dropped->inc();
+        metrics_.faults_dropped->inc();
         return;
     }
     if (faults_.latency_jitter_ms > 0) {
@@ -101,10 +85,7 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, SimTime delay_ms,
     }
     if (faults_.duplication_probability > 0 &&
         fault_rng_.chance(faults_.duplication_probability)) {
-        ++stats_.faults_duplicated;
-        if (metrics_.faults_duplicated != nullptr) {
-            metrics_.faults_duplicated->inc();
-        }
+        metrics_.faults_duplicated->inc();
         // The echoed frame trails the original; it carries the same
         // wire_seq, so deduplicating receivers can recognize it.
         const double echo_delay =
@@ -120,8 +101,7 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, SimTime delay_ms,
 void Simulator::unicast(NodeId from, NodeId to, Message msg) {
     SARIADNE_EXPECTS(from < topology_.node_count());
     SARIADNE_EXPECTS(to < topology_.node_count());
-    ++stats_.unicasts;
-    if (metrics_.unicasts != nullptr) metrics_.unicasts->inc();
+    metrics_.unicasts->inc();
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
     if (from == to) {
@@ -132,31 +112,22 @@ void Simulator::unicast(NodeId from, NodeId to, Message msg) {
     }
     const int hops = topology_.hop_distance(from, to);
     if (hops < 0) {
-        ++stats_.dropped_unreachable;
-        if (metrics_.dropped_unreachable != nullptr) {
-            metrics_.dropped_unreachable->inc();
-        }
+        metrics_.dropped_unreachable->inc();
         return;
     }
     // Latency follows the weighted path (wired backbone links are cheaper
     // than radio hops in hybrid topologies); transmission counting stays
     // per physical link.
     const double cost = topology_.path_cost(from, to);
-    stats_.link_transmissions += static_cast<std::uint64_t>(hops);
-    stats_.bytes_transmitted +=
-        static_cast<std::uint64_t>(hops) * msg.size_bytes;
-    if (metrics_.link_transmissions != nullptr) {
-        metrics_.link_transmissions->inc(static_cast<std::uint64_t>(hops));
-        metrics_.bytes_transmitted->inc(static_cast<std::uint64_t>(hops) *
-                                        msg.size_bytes);
-    }
+    metrics_.link_transmissions->inc(static_cast<std::uint64_t>(hops));
+    metrics_.bytes_transmitted->inc(static_cast<std::uint64_t>(hops) *
+                                    msg.size_bytes);
     schedule_delivery(from, to, cost * per_hop_latency_ms_, std::move(msg));
 }
 
 void Simulator::broadcast(NodeId from, std::uint32_t ttl_hops, Message msg) {
     SARIADNE_EXPECTS(from < topology_.node_count());
-    ++stats_.broadcasts;
-    if (metrics_.broadcasts != nullptr) metrics_.broadcasts->inc();
+    metrics_.broadcasts->inc();
     msg.source = from;
     msg.wire_seq = ++next_wire_seq_;
     const auto dist = topology_.hop_distances(from);
@@ -165,12 +136,8 @@ void Simulator::broadcast(NodeId from, std::uint32_t ttl_hops, Message msg) {
         if (static_cast<std::uint32_t>(dist[node]) > ttl_hops) continue;
         // Each covered node hears one radio transmission from its
         // predecessor on the flood tree.
-        ++stats_.link_transmissions;
-        stats_.bytes_transmitted += msg.size_bytes;
-        if (metrics_.link_transmissions != nullptr) {
-            metrics_.link_transmissions->inc();
-            metrics_.bytes_transmitted->inc(msg.size_bytes);
-        }
+        metrics_.link_transmissions->inc();
+        metrics_.bytes_transmitted->inc(msg.size_bytes);
         schedule_delivery(from, node, dist[node] * per_hop_latency_ms_, msg);
     }
 }
@@ -189,11 +156,8 @@ std::size_t Simulator::drain(SimTime until, std::size_t max_events) {
         action();
         ++executed;
     }
-    if (metrics_.pending_events != nullptr) {
-        metrics_.pending_events->set(
-            static_cast<std::int64_t>(events_.size()));
-        metrics_.now_ms->set(static_cast<std::int64_t>(now_));
-    }
+    metrics_.pending_events->set(static_cast<std::int64_t>(events_.size()));
+    metrics_.now_ms->set(static_cast<std::int64_t>(now_));
     return executed;
 }
 
@@ -205,9 +169,7 @@ void Simulator::run(SimTime until) {
     // held no events; otherwise back-to-back run() windows would skew
     // every now()-based staleness check by the idle gap.
     if (until > now_) now_ = until;
-    if (metrics_.now_ms != nullptr) {
-        metrics_.now_ms->set(static_cast<std::int64_t>(now_));
-    }
+    metrics_.now_ms->set(static_cast<std::int64_t>(now_));
 }
 
 std::size_t Simulator::step(std::size_t max_events) {

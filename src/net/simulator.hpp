@@ -2,9 +2,10 @@
 // (message deliveries, timers) execute in virtual-time order with a
 // monotonically increasing sequence number breaking ties. Messages carry
 // the protocol's wire structs (ariadne/wire.hpp) unencoded, with the
-// sender's size_bytes charged per hop; protocol layers (src/ariadne)
-// register a NodeApp per node and communicate exclusively through the
-// simulator.
+// sender's size_bytes charged per hop; one delivery handler receives every
+// delivered message with the node it was addressed to (SimTransport
+// installs the protocol's), and protocol layers (src/ariadne) communicate
+// exclusively through the simulator.
 //
 // Radio model: a unicast between reachable nodes arrives after
 //   path_cost * per_hop_latency_ms
@@ -16,16 +17,19 @@
 // (net/topology.hpp). TTL-bounded broadcast floods outward one hop per
 // latency step, delivering to every up-node within the hop bound — the
 // paper's "up to a given number of hops" advertisement/election
-// primitive. Message counters feed the protocol-traffic metrics of the
-// distributed benches.
+// primitive. Every traffic event increments one `sim.*` counter of the
+// simulator's registry; those counters feed the protocol-traffic metrics
+// of the distributed benches.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
-#include <string>
 #include <vector>
 
+#include "ariadne/transport.hpp"
 #include "ariadne/transport_types.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -73,34 +77,24 @@ struct FaultPlan {
     }
 };
 
-class Simulator;
-
-/// Protocol behaviour attached to one node.
-class NodeApp {
-public:
-    virtual ~NodeApp() = default;
-
-    /// Called once when the simulation starts.
-    virtual void on_start(Simulator& sim, NodeId self) = 0;
-
-    /// Called for each delivered message.
-    virtual void on_message(Simulator& sim, NodeId self, const Message& msg) = 0;
-};
-
 class Simulator {
 public:
+    using DeliveryHandler = ariadne::Transport::DeliveryHandler;
+
+    /// Counts into a registry of its own until set_metrics() attaches a
+    /// caller's.
     explicit Simulator(Topology topology, double per_hop_latency_ms = 2.0)
         : topology_(std::move(topology)),
-          apps_(topology_.node_count(), nullptr),
           per_hop_latency_ms_(per_hop_latency_ms) {}
 
     Topology& topology() noexcept { return topology_; }
     const Topology& topology() const noexcept { return topology_; }
 
-    /// Attaches the protocol app of a node (not owned).
-    void attach(NodeId node, NodeApp* app) {
-        SARIADNE_EXPECTS(node < apps_.size());
-        apps_[node] = app;
+    /// Installs the callback every delivered message goes to, with the
+    /// node it was addressed to. Without one, deliveries are counted and
+    /// dropped.
+    void set_delivery_handler(DeliveryHandler handler) {
+        handler_ = std::move(handler);
     }
 
     SimTime now() const noexcept { return now_; }
@@ -138,12 +132,20 @@ public:
 
     const FaultPlan& faults() const noexcept { return faults_; }
 
-    const TrafficStats& stats() const noexcept { return stats_; }
+    /// The traffic so far: read_traffic() of metrics().
+    TrafficStats stats() const { return read_traffic(metrics()); }
 
-    /// Mirrors traffic counters into `registry` (live, alongside stats())
-    /// under `sim.*` names; nullptr detaches. The registry must outlive
+    /// Counts traffic into `registry` under `sim.*` names from now on,
+    /// instead of the simulator's own registry. The registry must outlive
     /// the simulator.
-    void set_metrics(obs::MetricsRegistry* registry);
+    void set_metrics(obs::MetricsRegistry& registry) {
+        metrics_ = Metrics(registry);
+    }
+
+    /// The registry the simulator counts into: the attached one, or its own.
+    obs::MetricsRegistry& metrics() const noexcept {
+        return *metrics_.registry;
+    }
 
     bool idle() const noexcept { return events_.empty(); }
 
@@ -172,32 +174,40 @@ private:
     void schedule_delivery(NodeId from, NodeId to, SimTime delay_ms,
                            Message msg);
 
-    /// Cached handles into the attached registry (nullptr when detached).
+    /// Handles into the registry the simulator counts into, all resolved
+    /// by the constructor.
     struct Metrics {
-        obs::MetricsRegistry* registry = nullptr;
-        obs::Counter* unicasts = nullptr;
-        obs::Counter* broadcasts = nullptr;
-        obs::Counter* deliveries = nullptr;
-        obs::Counter* link_transmissions = nullptr;
-        obs::Counter* bytes_transmitted = nullptr;
-        obs::Counter* dropped_unreachable = nullptr;
-        obs::Counter* faults_dropped = nullptr;
-        obs::Counter* faults_duplicated = nullptr;
-        obs::Counter* faults_crashes = nullptr;
-        obs::Counter* faults_recoveries = nullptr;
-        obs::Gauge* pending_events = nullptr;
-        obs::Gauge* now_ms = nullptr;
+        explicit Metrics(obs::MetricsRegistry& target);
+
+        obs::MetricsRegistry* registry;
+        obs::Counter* unicasts;
+        obs::Counter* broadcasts;
+        obs::Counter* deliveries;
+        /// `sim.deliveries{type=...}`, indexed by wire id - 1, so a
+        /// delivery neither builds a name nor takes the registry lock.
+        std::array<obs::Counter*, ariadne::wire::kMsgTypeCount>
+            deliveries_by_type;
+        obs::Counter* link_transmissions;
+        obs::Counter* bytes_transmitted;
+        obs::Counter* dropped_unreachable;
+        obs::Counter* faults_dropped;
+        obs::Counter* faults_duplicated;
+        obs::Counter* faults_crashes;
+        obs::Counter* faults_recoveries;
+        obs::Gauge* pending_events;
+        obs::Gauge* now_ms;
     };
 
     Topology topology_;
-    std::vector<NodeApp*> apps_;
+    DeliveryHandler handler_;
     double per_hop_latency_ms_;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t next_wire_seq_ = 0;
     std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-    TrafficStats stats_;
-    Metrics metrics_;
+    std::unique_ptr<obs::MetricsRegistry> own_registry_ =
+        std::make_unique<obs::MetricsRegistry>();
+    Metrics metrics_{*own_registry_};
     FaultPlan faults_;
     Rng fault_rng_;
 };

@@ -3,8 +3,8 @@
 // reviewable in one place and renames cannot silently fork a series
 // (dashboards key on these strings). sariadne-analyze enforces the
 // rule: no quoted name literal may be passed to counter()/gauge()/
-// histogram()/span() anywhere under src/ — call sites reference these
-// constants (tests and benches may still create ad-hoc metrics).
+// histogram() anywhere under src/ — call sites reference these constants
+// (tests and benches may still create ad-hoc metrics).
 //
 // Naming scheme (see obs/metrics.hpp): `<layer>.<quantity>[{key="value"}]`,
 // `_ms` suffix for millisecond histograms.

@@ -1,19 +1,21 @@
 // Observability substrate: a process-wide-shareable MetricsRegistry of
-// lock-cheap counters, gauges and fixed-bucket latency histograms, plus a
-// scoped-span tracer for per-phase timing. The paper's whole evaluation
-// (§4, Figs. 7-10) is latency/traffic accounting; this module makes those
-// quantities first-class so every layer (directory, engine, protocol,
-// simulator) reports into one registry instead of per-bench stopwatches.
+// lock-cheap counters, gauges and fixed-bucket latency histograms. The
+// paper's whole evaluation (§4, Figs. 7-10) is latency/traffic accounting;
+// this module makes those quantities first-class so every layer
+// (directory, engine, protocol, simulator, socket transport) reports into
+// one registry instead of per-bench stopwatches.
 //
 // Concurrency model (matches the directory layer's locking design):
 // metric *values* are relaxed atomics — inc/observe on the hot path is a
 // handful of uncontended fetch_adds, never a lock. The registry map
 // itself is guarded by a mutex, but lookups only happen when a handle is
-// first created; instrumented components resolve their handles once at
-// construction and keep `Counter&`/`Histogram&` references, which stay
-// valid for the registry's lifetime (values are node-allocated and never
-// move). Totals read while writers are active are per-metric exact but
-// not a cross-metric snapshot; coherence assertions (e.g. issued ==
+// first created; every component resolves its handles once (at
+// construction, or when it is attached to a caller's registry) and keeps
+// pointers to them, which stay valid for the registry's lifetime (values
+// are node-allocated and never move). A component always has a registry:
+// the caller's, or one it owns when the caller passes none, so no handle
+// is ever null. Totals read while writers are active are per-metric exact
+// but not a cross-metric snapshot; coherence assertions (e.g. issued ==
 // satisfied + expired + in_flight) hold once writers quiesce.
 //
 // Naming scheme: dot-separated `<layer>.<quantity>[{key="value"}]`, e.g.
@@ -33,7 +35,6 @@
 #include <vector>
 
 #include "support/lock_rank.hpp"
-#include "support/stopwatch.hpp"
 
 namespace sariadne::obs {
 
@@ -116,27 +117,6 @@ private:
     std::atomic<double> sum_{0.0};
 };
 
-/// Times a phase and records the elapsed real milliseconds into a
-/// histogram when the span closes. A null sink makes the span free-ish,
-/// so uninstrumented components need no branches at every call site.
-class ScopedSpan {
-public:
-    explicit ScopedSpan(Histogram* sink) noexcept : sink_(sink) {}
-
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-    ~ScopedSpan() {
-        if (sink_ != nullptr) sink_->observe(watch_.elapsed_ms());
-    }
-
-    double elapsed_ms() const noexcept { return watch_.elapsed_ms(); }
-
-private:
-    Histogram* sink_;
-    Stopwatch watch_;
-};
-
 /// Thread-safe registry of named metrics. Handles returned by
 /// counter()/gauge()/histogram() are stable references for the registry's
 /// lifetime; resolve them once and keep them (the lookup takes the
@@ -154,9 +134,6 @@ public:
     Histogram& histogram(std::string_view name,
                          const std::vector<double>& bounds =
                              Histogram::latency_ms_bounds());
-
-    /// Convenience: a span recording into `histogram(name)`.
-    ScopedSpan span(std::string_view name) { return ScopedSpan(&histogram(name)); }
 
     /// Prometheus text exposition (names sanitized, `sariadne_` prefix,
     /// histograms rendered with cumulative `_bucket{le=...}` series).

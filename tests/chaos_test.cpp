@@ -5,8 +5,9 @@
 // must stay *coherent*: every request lands in exactly one terminal bin,
 // retry and publish backlogs drain to zero, no service is permanently
 // lost while its provider is up, and the same seed replays byte-identical
-// traffic. The soak runs over both summary backends.
+// traffic and counters. The soak runs over both summary backends.
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,7 @@ net::FaultPlan chaos_plan(std::uint64_t seed) {
 
 struct ChaosRun {
     net::TrafficStats traffic;
+    std::map<std::string, std::string> counts;  ///< th::replay_counts
     std::uint64_t issued = 0;
     std::uint64_t satisfied = 0;
     std::uint64_t unsatisfied = 0;
@@ -112,6 +114,7 @@ ChaosRun run_chaos(std::uint64_t seed, summary::SummaryBackend backend =
     network.run_for(30000);
 
     out.traffic = network.traffic();
+    out.counts = th::replay_counts(registry);
     out.satisfied = registry.counter_value("protocol.requests_satisfied");
     out.unsatisfied = registry.counter_value("protocol.requests_unsatisfied");
     out.expired = registry.counter_value("protocol.requests_expired");
@@ -175,6 +178,10 @@ TEST(Chaos, SameSeedIsByteIdenticalDifferentSeedIsNot) {
     EXPECT_EQ(a.traffic, b.traffic);
     EXPECT_EQ(a.satisfied, b.satisfied);
     EXPECT_EQ(a.expired, b.expired);
+    // Replay identity covers the whole registry, not only the traffic.
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_GT(a.counts.count("protocol.requests_issued"), 0u);
+    EXPECT_GT(a.counts.count("sim.now_ms"), 0u);  // gauges follow counters
     EXPECT_FALSE(a.traffic == c.traffic);
 }
 

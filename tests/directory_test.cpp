@@ -9,6 +9,7 @@
 #include "directory/syntactic_directory.hpp"
 #include "directory/taxonomy_directory.hpp"
 #include "matching/oracles.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "workload/ontology_gen.hpp"
 #include "workload/service_gen.hpp"
@@ -45,6 +46,7 @@ protected:
     encoding::KnowledgeBase kb_;
     matching::EncodedOracle oracle_;
     MatchStats stats_;
+    obs::Counter contention_;
 };
 
 TEST_F(DagFixture, InsertBuildsHierarchyFromGenericToSpecific) {
@@ -154,7 +156,7 @@ TEST_F(DagFixture, RemoveServiceSplicesEdges) {
 }
 
 TEST_F(DagFixture, DagIndexGroupsBySignatureAndPrunes) {
-    DagIndex index;
+    DagIndex index(contention_);
     index.insert(DagEntry{resolve(th::send_digital_stream()), 1}, oracle_,
                  stats_);
 
@@ -173,7 +175,7 @@ TEST_F(DagFixture, DagIndexGroupsBySignatureAndPrunes) {
 }
 
 TEST_F(DagFixture, DagIndexRemovalDropsEmptyDags) {
-    DagIndex index;
+    DagIndex index(contention_);
     index.insert(DagEntry{resolve(th::send_digital_stream()), 7}, oracle_,
                  stats_);
     EXPECT_EQ(index.dag_count(), 1u);

@@ -10,6 +10,7 @@
 #include "directory/state_transfer.hpp"
 #include "matching/oracles.hpp"
 #include "net/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "reasoner/reasoner.hpp"
 #include "test_helpers.hpp"
 
@@ -143,7 +144,8 @@ TEST_F(ExtrasFixture, LifetimeStatsAccumulateAcrossOperations) {
 }
 
 TEST_F(ExtrasFixture, DagIndexQueryAllSpansMultipleDags) {
-    directory::DagIndex index;
+    obs::Counter contention;
+    directory::DagIndex index(contention);
     directory::MatchStats stats;
     // Capability in the media+server signature DAG.
     index.insert(directory::DagEntry{resolve(th::send_digital_stream()), 1},

@@ -2,6 +2,8 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -251,13 +253,17 @@ TEST(Topology, MoveThenRebuildReroutes) {
     EXPECT_LT(topo.path_cost(0, 2), 0);
 }
 
-class Recorder : public NodeApp {
-public:
-    void on_start(Simulator&, NodeId) override {}
-    void on_message(Simulator& sim, NodeId, const Message& msg) override {
-        received.emplace_back(sim.now(), wire::to_string(msg.body.type));
+/// The simulator's delivery handler for a test: what each node received,
+/// as (arrival time, message type).
+struct Recorder {
+    explicit Recorder(Simulator& sim)
+        : received(sim.topology().node_count()) {
+        sim.set_delivery_handler([this, &sim](NodeId self, const Message& msg) {
+            received[self].emplace_back(sim.now(),
+                                        wire::to_string(msg.body.type));
+        });
     }
-    std::vector<std::pair<SimTime, std::string>> received;
+    std::vector<std::vector<std::pair<SimTime, std::string>>> received;
 };
 
 TEST(Simulator, EventsRunInTimeOrder) {
@@ -282,13 +288,13 @@ TEST(Simulator, TiesBreakInScheduleOrder) {
 
 TEST(Simulator, UnicastLatencyScalesWithHops) {
     Simulator sim(Topology::grid(4, 1), /*per_hop_latency_ms=*/3.0);
-    Recorder app;
-    sim.attach(3, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[3];
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 3, std::move(msg));
     sim.run();
-    ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_DOUBLE_EQ(app.received[0].first, 9.0);  // 3 hops x 3 ms
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_DOUBLE_EQ(received[0].first, 9.0);  // 3 hops x 3 ms
     EXPECT_EQ(sim.stats().unicasts, 1u);
     EXPECT_EQ(sim.stats().link_transmissions, 3u);
 }
@@ -297,51 +303,50 @@ TEST(Simulator, UnreachableUnicastIsDropped) {
     Topology topo = Topology::grid(3, 1);
     topo.set_up(1, false);
     Simulator sim(std::move(topo));
-    Recorder app;
-    sim.attach(2, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[2];
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 2, std::move(msg));
     sim.run();
-    EXPECT_TRUE(app.received.empty());
+    EXPECT_TRUE(received.empty());
     EXPECT_EQ(sim.stats().dropped_unreachable, 1u);
 }
 
 TEST(Simulator, BroadcastRespectsTtl) {
     Simulator sim(Topology::grid(5, 1), 1.0);  // 0-1-2-3-4
-    std::vector<Recorder> apps(5);
-    for (NodeId n = 0; n < 5; ++n) sim.attach(n, &apps[n]);
+    Recorder recorder(sim);
     Message msg = make_message(wire::DirAdv{});
     sim.broadcast(0, /*ttl_hops=*/2, std::move(msg));
     sim.run();
-    EXPECT_TRUE(apps[0].received.empty());  // sender excluded
-    EXPECT_EQ(apps[1].received.size(), 1u);
-    EXPECT_EQ(apps[2].received.size(), 1u);
-    EXPECT_TRUE(apps[3].received.empty());
-    EXPECT_TRUE(apps[4].received.empty());
-    EXPECT_DOUBLE_EQ(apps[2].received[0].first, 2.0);
+    EXPECT_TRUE(recorder.received[0].empty());  // sender excluded
+    EXPECT_EQ(recorder.received[1].size(), 1u);
+    EXPECT_EQ(recorder.received[2].size(), 1u);
+    EXPECT_TRUE(recorder.received[3].empty());
+    EXPECT_TRUE(recorder.received[4].empty());
+    EXPECT_DOUBLE_EQ(recorder.received[2][0].first, 2.0);
 }
 
 TEST(Simulator, MessageToDownNodeNotDelivered) {
     Topology topo = Topology::grid(2, 1);
     Simulator sim(std::move(topo));
-    Recorder app;
-    sim.attach(1, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[1];
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.topology().set_up(1, false);  // goes down while in flight
     sim.run();
-    EXPECT_TRUE(app.received.empty());
+    EXPECT_TRUE(received.empty());
 }
 
 TEST(Simulator, SelfUnicastDeliversImmediately) {
     Simulator sim(Topology::grid(2, 1));
-    Recorder app;
-    sim.attach(0, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[0];
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 0, std::move(msg));
     sim.run();
-    ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_DOUBLE_EQ(app.received[0].first, 0.0);
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_DOUBLE_EQ(received[0].first, 0.0);
 }
 
 TEST(Simulator, RunUntilBoundsVirtualTime) {
@@ -402,63 +407,94 @@ TEST(Simulator, StepExecutesBoundedEvents) {
 TEST(Simulator, StepRefreshesClockGauges) {
     obs::MetricsRegistry registry;
     Simulator sim(Topology::grid(1, 1));
-    sim.set_metrics(&registry);
+    sim.set_metrics(registry);
     for (int i = 1; i <= 5; ++i) sim.schedule(10.0 * i, [] {});
     EXPECT_EQ(sim.step(2), 2u);
     EXPECT_EQ(registry.gauge_value(obs::names::kSimPendingEvents), 3);
     EXPECT_EQ(registry.gauge_value(obs::names::kSimNowMs), 20);
 }
 
+/// A default payload of every wire::Payload alternative, in wire-id order.
+template <std::size_t... Index>
+std::vector<wire::Payload> every_payload(std::index_sequence<Index...>) {
+    return {wire::Payload(std::in_place_index<Index>)...};
+}
+
 TEST(Simulator, TrafficAccountingByType) {
     Simulator sim(Topology::grid(3, 1));
-    std::vector<Recorder> apps(3);
-    for (NodeId n = 0; n < 3; ++n) sim.attach(n, &apps[n]);
     Message a = make_message(wire::PubAck{});
     a.size_bytes = 100;
     sim.unicast(0, 2, std::move(a));
     sim.broadcast(1, 1, make_message(wire::DirAdv{}));
     sim.run();
+    EXPECT_EQ(sim.stats().per_type.size(), 2u);  // only the types delivered
     EXPECT_EQ(sim.stats().per_type.at("pub-ack"), 1u);
     EXPECT_EQ(sim.stats().per_type.at("dir-adv"), 2u);
     EXPECT_EQ(sim.stats().bytes_transmitted, 200u);  // 2 hops x 100 bytes
+
+    // One delivery of every message type is counted once under that
+    // type's own name, in stats() and in the registry alike.
+    Simulator each(Topology::grid(2, 1));
+    for (wire::Payload& payload :
+         every_payload(std::make_index_sequence<wire::kMsgTypeCount>{})) {
+        each.unicast(0, 1, make_message(std::move(payload)));
+    }
+    each.run();
+    const TrafficStats stats = each.stats();
+    EXPECT_EQ(stats.deliveries, wire::kMsgTypeCount);
+    EXPECT_EQ(stats.per_type.size(), wire::kMsgTypeCount);
+    for (std::size_t id = 1; id <= wire::kMsgTypeCount; ++id) {
+        const char* type = wire::to_string(static_cast<wire::MsgType>(id));
+        EXPECT_EQ(stats.per_type.count(type) ? stats.per_type.at(type) : 0,
+                  1u)
+            << type;
+        EXPECT_EQ(each.metrics().counter_value(
+                      obs::names::sim_deliveries_by_type(type)),
+                  1u)
+            << type;
+    }
 
     // Over a SimTransport every message is charged its exact datagram
     // size per hop: a unicast once per hop, a broadcast once per covered
     // node.
     ariadne::SimTransport transport(Topology::grid(4, 1));  // 0-1-2-3
+    const Simulator& inner = transport.simulator();
     const Message request = make_message(wire::Request{7, 0, "<request/>"});
     const std::uint64_t request_bytes = wire::encode(request.body).size();
     transport.unicast(0, 3, request);
-    EXPECT_EQ(transport.stats().bytes_transmitted, 3 * request_bytes);
+    EXPECT_EQ(inner.stats().bytes_transmitted, 3 * request_bytes);
     const Message adv = make_message(wire::DirAdv{1});
     const std::uint64_t adv_bytes = wire::encode(adv.body).size();
     transport.broadcast(1, /*ttl_hops=*/2, adv);  // covers 0, 2 and 3
-    EXPECT_EQ(transport.stats().bytes_transmitted,
+    EXPECT_EQ(inner.stats().bytes_transmitted,
               3 * request_bytes + 3 * adv_bytes);
     transport.run_for(100);
-    EXPECT_EQ(transport.stats().per_type.at("req"), 1u);
-    EXPECT_EQ(transport.stats().per_type.at("dir-adv"), 3u);
+    EXPECT_EQ(inner.stats().per_type.at("req"), 1u);
+    EXPECT_EQ(inner.stats().per_type.at("dir-adv"), 3u);
 }
 
-class WireRecorder : public NodeApp {
-public:
-    void on_start(Simulator&, NodeId) override {}
-    void on_message(Simulator& sim, NodeId, const Message& msg) override {
-        received.push_back(
-            {sim.now(), wire::to_string(msg.body.type), msg.wire_seq});
-    }
+/// Like Recorder, keeping each delivery's wire sequence id.
+struct WireRecorder {
     struct Entry {
         SimTime at;
         std::string type;
         std::uint64_t wire_seq;
     };
-    std::vector<Entry> received;
+
+    explicit WireRecorder(Simulator& sim)
+        : received(sim.topology().node_count()) {
+        sim.set_delivery_handler([this, &sim](NodeId self, const Message& msg) {
+            received[self].push_back(
+                {sim.now(), wire::to_string(msg.body.type), msg.wire_seq});
+        });
+    }
+    std::vector<std::vector<Entry>> received;
 };
 
 TEST(Faults, TotalLossDropsEveryDelivery) {
     Simulator sim(Topology::grid(3, 1));
-    Recorder app;
-    sim.attach(2, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[2];
     FaultPlan plan;
     plan.loss_probability = 1.0;
     sim.set_faults(std::move(plan));
@@ -467,7 +503,7 @@ TEST(Faults, TotalLossDropsEveryDelivery) {
         sim.unicast(0, 2, std::move(msg));
     }
     sim.run();
-    EXPECT_TRUE(app.received.empty());
+    EXPECT_TRUE(received.empty());
     EXPECT_EQ(sim.stats().faults_dropped, 5u);
     // The send itself still happened and was accounted as traffic.
     EXPECT_EQ(sim.stats().unicasts, 5u);
@@ -475,42 +511,42 @@ TEST(Faults, TotalLossDropsEveryDelivery) {
 
 TEST(Faults, DuplicationEchoesWithSameWireSeq) {
     Simulator sim(Topology::grid(2, 1));
-    WireRecorder app;
-    sim.attach(1, &app);
+    WireRecorder recorder(sim);
+    const auto& received = recorder.received[1];
     FaultPlan plan;
     plan.duplication_probability = 1.0;
     sim.set_faults(std::move(plan));
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.run();
-    ASSERT_EQ(app.received.size(), 2u);
+    ASSERT_EQ(received.size(), 2u);
     EXPECT_EQ(sim.stats().faults_duplicated, 1u);
     // The echo is byte-identical: same wire sequence id, so receivers can
     // dedup it; it arrives strictly after the original.
-    EXPECT_NE(app.received[0].wire_seq, 0u);
-    EXPECT_EQ(app.received[0].wire_seq, app.received[1].wire_seq);
-    EXPECT_GT(app.received[1].at, app.received[0].at);
+    EXPECT_NE(received[0].wire_seq, 0u);
+    EXPECT_EQ(received[0].wire_seq, received[1].wire_seq);
+    EXPECT_GT(received[1].at, received[0].at);
 }
 
 TEST(Faults, JitterDelaysButStillDelivers) {
     Simulator sim(Topology::grid(2, 1), /*per_hop_latency_ms=*/5.0);
-    Recorder app;
-    sim.attach(1, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[1];
     FaultPlan plan;
     plan.latency_jitter_ms = 50.0;
     sim.set_faults(std::move(plan));
     Message msg = make_message(wire::SummaryPull{});
     sim.unicast(0, 1, std::move(msg));
     sim.run();
-    ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_GE(app.received[0].first, 5.0);
-    EXPECT_LE(app.received[0].first, 55.0);
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_GE(received[0].first, 5.0);
+    EXPECT_LE(received[0].first, 55.0);
 }
 
 TEST(Faults, CrashWindowTakesNodeDownThenRecovers) {
     Simulator sim(Topology::grid(2, 1), 1.0);
-    Recorder app;
-    sim.attach(1, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[1];
     FaultPlan plan;
     plan.crashes.push_back({1, /*down_at=*/10.0, /*up_at=*/100.0});
     sim.set_faults(std::move(plan));
@@ -525,16 +561,16 @@ TEST(Faults, CrashWindowTakesNodeDownThenRecovers) {
         sim.unicast(0, 1, std::move(msg));
     });
     sim.run();
-    ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_EQ(app.received[0].second, "elect-appoint");
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].second, "elect-appoint");
     EXPECT_EQ(sim.stats().faults_crashes, 1u);
     EXPECT_EQ(sim.stats().faults_recoveries, 1u);
 }
 
 TEST(Faults, DropHookFiltersByPredicate) {
     Simulator sim(Topology::grid(2, 1));
-    Recorder app;
-    sim.attach(1, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[1];
     FaultPlan plan;
     plan.drop = [](NodeId, NodeId, const Message& msg) {
         return msg.body.type == wire::MsgType::kPubNack;
@@ -543,15 +579,15 @@ TEST(Faults, DropHookFiltersByPredicate) {
     sim.unicast(0, 1, make_message(wire::PubNack{}));
     sim.unicast(0, 1, make_message(wire::PubAck{}));
     sim.run();
-    ASSERT_EQ(app.received.size(), 1u);
-    EXPECT_EQ(app.received[0].second, "pub-ack");
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].second, "pub-ack");
     EXPECT_EQ(sim.stats().faults_dropped, 1u);
 }
 
 TEST(Faults, LoopbackBypassesFaultInjection) {
     Simulator sim(Topology::grid(2, 1));
-    Recorder app;
-    sim.attach(0, &app);
+    Recorder recorder(sim);
+    const auto& received = recorder.received[0];
     FaultPlan plan;
     plan.loss_probability = 1.0;
     sim.set_faults(std::move(plan));
@@ -559,15 +595,13 @@ TEST(Faults, LoopbackBypassesFaultInjection) {
     sim.unicast(0, 0, std::move(msg));
     sim.run();
     // A node talking to itself never crosses the radio: faults don't apply.
-    ASSERT_EQ(app.received.size(), 1u);
+    ASSERT_EQ(received.size(), 1u);
     EXPECT_EQ(sim.stats().faults_dropped, 0u);
 }
 
 TEST(Faults, SameSeedReplaysIdenticalTraffic) {
     const auto run_once = [](std::uint64_t seed) {
         Simulator sim(Topology::grid(4, 1), 1.0);
-        std::vector<Recorder> apps(4);
-        for (NodeId n = 0; n < 4; ++n) sim.attach(n, &apps[n]);
         FaultPlan plan;
         plan.seed = seed;
         plan.loss_probability = 0.3;
@@ -595,8 +629,6 @@ TEST(Faults, SameSeedReplaysIdenticalTraffic) {
 TEST(Faults, InertPlanChangesNothing) {
     const auto run_once = [](bool install_inert_plan) {
         Simulator sim(Topology::grid(3, 1), 2.0);
-        std::vector<Recorder> apps(3);
-        for (NodeId n = 0; n < 3; ++n) sim.attach(n, &apps[n]);
         if (install_inert_plan) sim.set_faults(FaultPlan{});
         for (int i = 0; i < 20; ++i) {
             Message msg = make_message(wire::SummaryPull{});

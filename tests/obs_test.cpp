@@ -8,6 +8,7 @@
 #include "ariadne/protocol.hpp"
 #include "net/sim_transport.hpp"
 #include "description/amigos_io.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
@@ -80,16 +81,6 @@ TEST(Metrics, HistogramBucketsAreUpperBoundInclusive) {
     EXPECT_DOUBLE_EQ(histogram.mean(), 106.5 / 4.0);
 }
 
-TEST(Metrics, ScopedSpanRecordsIntoSink) {
-    MetricsRegistry registry;
-    { ScopedSpan null_span(nullptr); }  // null sink: no-op, no crash
-    { auto span = registry.span("phase_ms"); }
-    const Histogram* histogram = registry.find_histogram("phase_ms");
-    ASSERT_NE(histogram, nullptr);
-    EXPECT_EQ(histogram->count(), 1u);
-    EXPECT_GE(histogram->sum(), 0.0);
-}
-
 TEST(Metrics, PrometheusExposition) {
     MetricsRegistry registry;
     registry.counter("proto.count{type=\"fwd\"}").inc(3);
@@ -151,6 +142,57 @@ TEST(MetricsIntegration, SummaryPullRepliesAreNotCountedAsPushes) {
     EXPECT_EQ(registry.counter_value("protocol.summary_pushes"), 1u);
     EXPECT_EQ(registry.counter_value("protocol.summary_pulls"), 1u);
     EXPECT_EQ(registry.counter_value("protocol.summary_pull_replies"), 1u);
+}
+
+// Components built without a registry count into one they own; built
+// with one, they report into it. Either way metrics() is where the counts
+// are.
+TEST(MetricsIntegration, ComponentsWithoutARegistryCountIntoTheirOwn) {
+    namespace th = sariadne::testing;
+
+    encoding::KnowledgeBase kb;
+    kb.register_ontology(th::media_ontology());
+    kb.register_ontology(th::server_ontology());
+    ariadne::ProtocolConfig config;
+    config.adv_timeout_ms = 1e9;  // no spontaneous elections
+    desc::ServiceRequest request;
+    request.capabilities.push_back(th::get_video_stream());
+
+    directory::SemanticDirectory directory(kb);
+    directory.publish(th::workstation_service());
+    EXPECT_EQ(directory.metrics().counter_value(names::kDirectoryPublishes),
+              1u);
+
+    ariadne::DiscoveryNetwork network(net::Topology::grid(3, 1), config, kb);
+    network.appoint_directory(0);
+    network.publish_service(
+        1, desc::serialize_service(th::workstation_service()));
+    network.run_for(100);
+    const auto id = network.discover(2, desc::serialize_request(request));
+    network.run_for(100);
+    EXPECT_TRUE(network.outcome(id).satisfied);
+    const MetricsRegistry& own = network.metrics();
+    EXPECT_EQ(own.counter_value(names::kDirectoryPublishes), 1u);
+    EXPECT_EQ(own.counter_value(names::kProtocolRequestsIssued), 1u);
+    EXPECT_EQ(own.counter_value(names::kProtocolRequestsSatisfied), 1u);
+    EXPECT_EQ(&sim(network).metrics(), &own);
+    EXPECT_GT(network.traffic().unicasts, 0u);
+    EXPECT_EQ(network.traffic().unicasts,
+              own.counter_value(names::kSimUnicasts));
+
+    net::Simulator simulator(net::Topology::grid(2, 1));
+    simulator.unicast(0, 1, net::make_message(ariadne::wire::SummaryPull{}));
+    EXPECT_EQ(simulator.metrics().counter_value(names::kSimUnicasts), 1u);
+
+    MetricsRegistry registry;
+    directory::SemanticDirectory attached_directory(kb, {}, &registry);
+    EXPECT_EQ(&attached_directory.metrics(), &registry);
+    ariadne::DiscoveryNetwork attached_network(net::Topology::grid(3, 1),
+                                               config, kb, &registry);
+    EXPECT_EQ(&attached_network.metrics(), &registry);
+    EXPECT_EQ(&sim(attached_network).metrics(), &registry);
+    simulator.set_metrics(registry);
+    EXPECT_EQ(&simulator.metrics(), &registry);
 }
 
 // End-to-end accounting coherence over a churn run: every issued request

@@ -331,7 +331,7 @@ public:
     void set_delivery_handler(DeliveryHandler handler) override {
         handler_ = std::move(handler);
     }
-    void set_metrics(obs::MetricsRegistry*) override {}
+    void set_metrics(obs::MetricsRegistry&) override {}
     void unicast(NodeId from, NodeId, net::Message msg) override {
         msg.source = from;
         sent.push_back(std::move(msg));
@@ -350,14 +350,12 @@ public:
     }
     bool is_infrastructure(NodeId) const override { return false; }
     std::size_t degree(NodeId) const override { return 1; }
-    const net::TrafficStats& stats() const override { return stats_; }
 
 private:
     SimTime step_ms_;
     mutable SimTime clock_ms_ = 0;
     std::uint64_t wire_seq_ = 0;
     DeliveryHandler handler_;
-    net::TrafficStats stats_;
 };
 
 /// Directory 0 holding the workstation service, over a fake clock that

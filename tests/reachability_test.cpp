@@ -16,6 +16,7 @@
 #include "directory/dag.hpp"
 #include "directory/dag_index.hpp"
 #include "matching/oracles.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "test_helpers.hpp"
 #include "workload/ontology_gen.hpp"
@@ -232,7 +233,8 @@ TEST(ReachabilityChurn, RandomizedChurnMatchesBfsAndFreshRebuild) {
     MatchStats stats;
     SplitMix64 rng(4242);
 
-    DagIndex index;
+    obs::Counter contention;
+    DagIndex index(contention);
     std::vector<std::pair<ServiceId, std::size_t>> live;  // id, stream index
     std::size_t next_stream = 0;
     ServiceId next_id = 1;
@@ -259,7 +261,7 @@ TEST(ReachabilityChurn, RandomizedChurnMatchesBfsAndFreshRebuild) {
         });
     }
 
-    DagIndex fresh;
+    DagIndex fresh(contention);
     for (const auto& [id, stream_index] : live) {
         const desc::ServiceDescription service =
             workload.service(stream_index);
@@ -283,8 +285,9 @@ TEST(ReachabilityChurn, BatchInsertMatchesSequentialInsert) {
     matching::EncodedOracle oracle(kb);
     MatchStats stats;
 
-    DagIndex sequential;
-    DagIndex batched;
+    obs::Counter contention;
+    DagIndex sequential(contention);
+    DagIndex batched(contention);
     std::vector<DagEntry> entries;
     for (std::size_t i = 0; i < 80; ++i) {
         const desc::ServiceDescription service = workload.service(i);

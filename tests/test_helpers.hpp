@@ -4,11 +4,14 @@
 // utilities used across suites.
 #pragma once
 
+#include <map>
 #include <string>
 #include <utility>
 
 #include "description/capability.hpp"
 #include "description/service.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 #include "ontology/ontology.hpp"
 #include "summary/routing_summary.hpp"
 
@@ -148,6 +151,35 @@ inline desc::ServiceDescription one_output_service(
 /// Test-name suffix of a summary backend, for suites run over both.
 inline std::string backend_name(summary::SummaryBackend backend) {
     return backend == summary::SummaryBackend::kBloom ? "Bloom" : "Interval";
+}
+
+/// Every counter and gauge of `registry` (name -> value), read from its
+/// JSON sink: what two runs of one seed must agree on. Two kinds of series
+/// are left out:
+///   * histograms, because they hold wall-clock timings;
+///   * matching.query_allocs, because it counts growth of a thread_local
+///     arena, so its value depends on what the process ran before.
+inline std::map<std::string, std::string> replay_counts(
+    const obs::MetricsRegistry& registry) {
+    const std::string json = registry.to_json();
+    std::map<std::string, std::string> counts;
+    std::size_t at = 1;  // past the opening brace
+    while (at < json.size() && json[at] == '"') {
+        std::string name;
+        for (++at; json[at] != '"'; ++at) {
+            if (json[at] == '\\') ++at;  // an escaped quote in a label
+            name.push_back(json[at]);
+        }
+        at += 2;  // the closing quote and the colon
+        const bool histogram = json[at] == '{';
+        const std::size_t end = histogram ? json.find('}', at) + 1
+                                          : json.find_first_of(",}", at);
+        if (!histogram && name != obs::names::kMatchingQueryAllocs) {
+            counts[name] = json.substr(at, end - at);
+        }
+        at = end + 1;  // past the comma
+    }
+    return counts;
 }
 
 }  // namespace sariadne::testing

@@ -305,7 +305,7 @@ TEST(EventLoopTransport, PeerCloseReclaimsSlotForNewConnections) {
     EventLoopConfig config;
     config.max_connections = 1;  // a single slot: reuse is observable
     LoopRunner runner{config};
-    runner.transport.set_metrics(&registry);
+    runner.transport.set_metrics(registry);
     runner.transport.set_delivery_handler([](NodeId, const Message&) {});
     runner.start();
 
@@ -358,7 +358,7 @@ TEST(EventLoopTransport, OversizedFrameClosesConnection) {
     EventLoopConfig config;
     config.max_frame_bytes = 1024;
     LoopRunner runner{config};
-    runner.transport.set_metrics(&registry);
+    runner.transport.set_metrics(registry);
     runner.transport.set_delivery_handler([](NodeId, const Message&) {});
     runner.start();
 
@@ -377,7 +377,7 @@ TEST(EventLoopTransport, OversizedFrameClosesConnection) {
 TEST(EventLoopTransport, MalformedFrameClosesConnection) {
     obs::MetricsRegistry registry;
     LoopRunner runner{EventLoopConfig{}};
-    runner.transport.set_metrics(&registry);
+    runner.transport.set_metrics(registry);
     runner.transport.set_delivery_handler([](NodeId, const Message&) {});
     runner.start();
 
@@ -398,7 +398,7 @@ TEST(EventLoopTransport, WriteQueueBackpressureShedsFrames) {
     config.write_queue_limit_bytes = 64 * 1024;
     LoopRunner runner{config};
     auto& transport = runner.transport;
-    transport.set_metrics(&registry);
+    transport.set_metrics(registry);
     const std::string blob(16 * 1024, 'b');
     transport.set_delivery_handler([&](NodeId, const Message& message) {
         if (message.body.type != wire::MsgType::kRequest) return;

@@ -4,7 +4,7 @@
 //                     support/lock_rank.hpp — product mutexes are
 //                     rank-annotated. `lint:allow-naked-mutex(<reason>)`.
 //   2. metric-name:   no quoted metric-name literal passed to
-//                     counter(/gauge(/histogram(/span( under src/.
+//                     counter(/gauge(/histogram( under src/.
 //   3. wire-decode:   a `lint:wire-decode` file must not contain `throw`.
 //   4. hot-path:      a `lint:hot-path` file must not name std::vector /
 //                     std::string. `lint:allow-hot-path-alloc(<reason>)`.
@@ -57,7 +57,7 @@ void check_naked_mutex(const SourceFile& file, std::vector<Finding>& out) {
 void check_metric_names(const SourceFile& file, std::vector<Finding>& out) {
     if (file.path.filename() == "metric_names.hpp") return;  // the table
     static const std::regex literal(
-        R"(\b(counter|gauge|histogram|span)\s*\(\s*")");
+        R"(\b(counter|gauge|histogram)\s*\(\s*")");
     const std::vector<std::string> lines =
         split_lines(file.code_with_strings);
     for (std::size_t i = 0; i < lines.size(); ++i) {

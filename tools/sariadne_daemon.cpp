@@ -22,14 +22,16 @@
 //
 // Shutdown: SIGTERM or SIGINT triggers the transport's drain — the
 // listener closes, pending write queues flush for at most --drain-ms,
-// connections close, and the process exits 0 after printing a traffic
-// summary. The signal handler only write(2)s one byte to the transport's
-// stop fd (async-signal-safe); all real work happens on the loop thread.
+// connections close, and the process exits 0 after printing its
+// transport.* frame and byte counters. The signal handler only write(2)s
+// one byte to the transport's stop fd (async-signal-safe); all real work
+// happens on the loop thread.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <poll.h>
@@ -42,6 +44,7 @@
 #include "ariadne/protocol.hpp"
 #include "reasoner/knowledge_base.hpp"
 #include "net/event_loop.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "workload/ontology_gen.hpp"
@@ -249,13 +252,17 @@ int main(int argc, char** argv) {
         loop.run_until_stopped(drain_ms);
         metrics_server.reset();
 
-        const auto& stats = network.traffic();
+        const auto count = [&registry](std::string_view name) {
+            return static_cast<unsigned long long>(
+                registry.counter_value(name));
+        };
         std::printf(
-            "sariadne_daemon: stopped; %llu deliveries, %llu unicasts, "
-            "%llu bytes on the wire\n",
-            static_cast<unsigned long long>(stats.deliveries),
-            static_cast<unsigned long long>(stats.unicasts),
-            static_cast<unsigned long long>(stats.bytes_transmitted));
+            "sariadne_daemon: stopped; %llu frames received, %llu frames "
+            "sent, %llu bytes received, %llu bytes sent\n",
+            count(obs::names::kTransportFramesReceived),
+            count(obs::names::kTransportFramesSent),
+            count(obs::names::kTransportBytesReceived),
+            count(obs::names::kTransportBytesSent));
         return 0;
     } catch (const std::exception& error) {
         std::fprintf(stderr, "sariadne_daemon: %s\n", error.what());
