@@ -464,17 +464,32 @@ NodeId DiscoveryNetwork::directory_for(NodeId node) const {
     return best;
 }
 
+NodeId DiscoveryNetwork::serving_directory(NodeId node) const {
+    const NodeId known = nodes_[node]->known_directory;
+    if (known != kNoNode && nodes_[known]->is_directory &&
+        transport_->is_up(known)) {
+        return known;
+    }
+    return directory_for(node);
+}
+
 // --- publish -----------------------------------------------------------------
 
-std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
-                                                std::string document_xml) {
+void DiscoveryNetwork::own_service(NodeId provider,
+                                   const std::string& document_xml) {
     NodeState& state = *nodes_[provider];
     state.owned_services.push_back(document_xml);
     if (config_.republish_period_ms > 0 && !state.republish_scheduled) {
         state.republish_scheduled = true;
         transport_->schedule(config_.republish_period_ms,
-                       [this, provider] { republish(provider); });
+                             [this, provider] { republish(provider); });
     }
+}
+
+std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
+                                                std::string document_xml) {
+    own_service(provider, document_xml);
+    NodeState& state = *nodes_[provider];
     if (config_.publish_ack_timeout_ms > 0) {
         // Acknowledged publish: park the document in the outstanding table
         // and let the send/timeout machinery route, retransmit and back
@@ -488,11 +503,7 @@ std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
         send_publish(provider, pub_id);
         return pub_id;
     }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     if (target == kNoNode) {
         state.deferred_publishes.push_back(std::move(document_xml));
         metrics_.deferred_publishes->add(1);
@@ -512,19 +523,10 @@ std::uint64_t DiscoveryNetwork::publish_batch(
         }
         return last;
     }
-    NodeState& state = *nodes_[provider];
-    for (const auto& doc : documents) state.owned_services.push_back(doc);
-    if (config_.republish_period_ms > 0 && !state.republish_scheduled) {
-        state.republish_scheduled = true;
-        transport_->schedule(config_.republish_period_ms,
-                             [this, provider] { republish(provider); });
-    }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    for (const auto& doc : documents) own_service(provider, doc);
+    const NodeId target = serving_directory(provider);
     if (target == kNoNode) {
+        NodeState& state = *nodes_[provider];
         for (auto& doc : documents) {
             state.deferred_publishes.push_back(std::move(doc));
             metrics_.deferred_publishes->add(1);
@@ -540,43 +542,13 @@ std::uint64_t DiscoveryNetwork::publish_batch(
     return 0;
 }
 
-Result<std::uint64_t> DiscoveryNetwork::try_publish_service(
-    NodeId provider, std::string document_xml) {
-    return support::catching<std::uint64_t>([&]() -> std::uint64_t {
-        if (provider >= nodes_.size()) {
-            throw LookupError("publish from unknown node " +
-                              std::to_string(provider));
-        }
-        // Validate before mutating protocol state, so a malformed document
-        // never enters owned_services / the retransmit machinery.
-        (void)desc::parse_service(document_xml);
-        return publish_service(provider, std::move(document_xml));
-    });
-}
-
-Result<std::uint64_t> DiscoveryNetwork::try_discover(NodeId client,
-                                                     std::string request_xml) {
-    return support::catching<std::uint64_t>([&]() -> std::uint64_t {
-        if (client >= nodes_.size()) {
-            throw LookupError("discover from unknown node " +
-                              std::to_string(client));
-        }
-        (void)desc::parse_request(request_xml);
-        return discover(client, std::move(request_xml));
-    });
-}
-
 void DiscoveryNetwork::send_publish(NodeId provider, std::uint64_t pub_id) {
     NodeState& state = *nodes_[provider];
     const auto it = state.outstanding_publishes.find(pub_id);
     if (it == state.outstanding_publishes.end()) return;  // acked meanwhile
     NodeState::OutstandingPublish& outstanding = it->second;
 
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     outstanding.awaiting_ack = target != kNoNode;
     if (target != kNoNode) {
         send(provider, target, PublishDoc{outstanding.document, pub_id});
@@ -766,14 +738,10 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
                        [this, id] { check_request_timeout(id); });
     }
 
-    NodeState& state = *nodes_[client];
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(client);
-    }
+    const NodeId target = serving_directory(client);
     if (target == kNoNode) {
-        state.deferred_requests.emplace_back(id, std::move(request_xml));
+        nodes_[client]->deferred_requests.emplace_back(
+            id, std::move(request_xml));
         metrics_.deferred_requests->add(1);
         return id;
     }
@@ -1060,11 +1028,7 @@ void DiscoveryNetwork::republish(NodeId provider) {
                        [this, provider] { republish(provider); });
         return;
     }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     if (target != kNoNode) {
         for (const std::string& doc : state.owned_services) {
             send(provider, target, PublishDoc{doc});

@@ -45,7 +45,6 @@
 #include "reasoner/knowledge_base.hpp"
 #include "obs/metrics.hpp"
 #include "summary/routing_summary.hpp"
-#include "support/result.hpp"
 #include "support/rng.hpp"
 
 // Fwd decl only: the Topology-taking convenience constructor is
@@ -197,17 +196,6 @@ public:
     /// read after the simulation ran.
     std::uint64_t discover(net::NodeId client, std::string request_xml);
 
-    /// Non-throwing publish for daemon-facing callers (peer input is
-    /// untrusted): validates the document before touching protocol state
-    /// and maps parse/lookup failures to ErrorInfo via support/catching —
-    /// consistent with DiscoveryEngine::try_publish.
-    Result<std::uint64_t> try_publish_service(net::NodeId provider,
-                                              std::string document_xml);
-
-    /// Non-throwing discover; the malformed-request twin of discover().
-    Result<std::uint64_t> try_discover(net::NodeId client,
-                                       std::string request_xml);
-
     /// A request document prepared for matching: parsed once and resolved
     /// against the knowledge base, so repeat documents (periodic
     /// rediscovery, retries, forwarded copies) skip both the XML parse and
@@ -286,6 +274,13 @@ private:
     };
 
     void node_check_advertisement(net::NodeId node);
+    /// The directory a node publishes and discovers through: the one it
+    /// last heard advertise while that node is still an up directory,
+    /// else directory_for(node).
+    net::NodeId serving_directory(net::NodeId node) const;
+    /// Records a document the provider owns and arms its re-advertisement
+    /// timer on the first one.
+    void own_service(net::NodeId provider, const std::string& document_xml);
     void republish(net::NodeId provider);
     void check_request_timeout(std::uint64_t request_id);
     /// Routes an outstanding acknowledged publish to the current nearest

@@ -1,25 +1,13 @@
 #include "core/discovery_engine.hpp"
 
-#include <future>
 #include <utility>
 
-#include "description/amigos_io.hpp"
 #include "support/catching.hpp"
-#include "support/errors.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sariadne {
 
 using support::catching;
-
-namespace {
-
-bool has_constraints(const desc::ServiceRequest& request) {
-    return !request.qos_constraints.empty() ||
-           !request.context_constraints.empty() || request.process.has_value();
-}
-
-}  // namespace
 
 Result<PublishReceipt> DiscoveryEngine::try_publish(
     std::string_view service_xml) {
@@ -27,56 +15,26 @@ Result<PublishReceipt> DiscoveryEngine::try_publish(
         [&] { return directory_->publish_xml(service_xml); });
 }
 
-std::vector<directory::ServiceId> DiscoveryEngine::publish_batch(
-    std::vector<desc::ServiceDescription> batch) {
-    const auto receipts = directory_->publish_batch(std::move(batch));
-    std::vector<directory::ServiceId> ids;
-    ids.reserve(receipts.size());
-    for (const auto& receipt : receipts) ids.push_back(receipt.id);
-    return ids;
-}
-
-Result<std::vector<PublishReceipt>> DiscoveryEngine::try_publish_batch(
-    std::vector<std::string> service_xmls) {
-    return catching<std::vector<PublishReceipt>>([&] {
-        // Parse the whole batch before publishing any member, preserving
-        // publish_batch's all-or-nothing contract across the parse phase.
-        std::vector<desc::ServiceDescription> batch;
-        batch.reserve(service_xmls.size());
-        for (const std::string& xml : service_xmls) {
-            batch.push_back(desc::parse_service(xml));
-        }
-        return directory_->publish_batch(std::move(batch));
-    });
-}
-
 DiscoveryEngine::DiscoveryRows DiscoveryEngine::discover(
     std::string_view request_xml, const QueryOptions& options) {
     Stopwatch stopwatch;
     DiscoveryRows rows =
-        options.parallel
-            ? to_discoveries(
-                  query_parallel(desc::parse_request(request_xml), options))
-            : to_discoveries(directory_->query_xml(request_xml, options));
-    record_discovery(rows, options, stopwatch.elapsed_ms());
+        to_discoveries(directory_->query_xml(request_xml, options));
+    record_discovery(rows, stopwatch.elapsed_ms());
     return rows;
 }
 
 DiscoveryEngine::DiscoveryRows DiscoveryEngine::discover(
     const desc::ServiceRequest& request, const QueryOptions& options) {
     Stopwatch stopwatch;
-    DiscoveryRows rows = options.parallel
-                             ? to_discoveries(query_parallel(request, options))
-                             : to_discoveries(directory_->query(request, options));
-    record_discovery(rows, options, stopwatch.elapsed_ms());
+    DiscoveryRows rows = to_discoveries(directory_->query(request, options));
+    record_discovery(rows, stopwatch.elapsed_ms());
     return rows;
 }
 
 void DiscoveryEngine::record_discovery(const DiscoveryRows& rows,
-                                       const QueryOptions& options,
                                        double elapsed_ms) {
     engine_metrics_.discoveries->inc();
-    if (options.parallel) engine_metrics_.discoveries_parallel->inc();
     bool satisfied = !rows.empty();
     for (const auto& row : rows) {
         if (row.empty()) satisfied = false;
@@ -93,96 +51,6 @@ Result<DiscoveryEngine::DiscoveryRows> DiscoveryEngine::try_discover(
     std::string_view request_xml, const QueryOptions& options) {
     return catching<DiscoveryRows>(
         [&] { return discover(request_xml, options); });
-}
-
-std::vector<DiscoveryEngine::DiscoveryRows> DiscoveryEngine::discover_batch(
-    const std::vector<desc::ServiceRequest>& requests,
-    const QueryOptions& options) {
-    std::vector<DiscoveryRows> all;
-    all.reserve(requests.size());
-    // One QueryResult for the whole burst: query_prepared overwrites it in
-    // place, recycling the per-capability vectors and hit strings, so the
-    // matching itself allocates nothing once the buffers are warm (the
-    // returned DiscoveryRows are fresh — they cross the API boundary).
-    directory::QueryResult scratch;
-    for (const desc::ServiceRequest& request : requests) {
-        Stopwatch stopwatch;
-        directory_->query_prepared(request,
-                                   desc::resolve_request(request, *kb_),
-                                   options, scratch);
-        DiscoveryRows rows = to_discoveries(scratch);
-        record_discovery(rows, options, stopwatch.elapsed_ms());
-        all.push_back(std::move(rows));
-    }
-    return all;
-}
-
-Result<std::vector<DiscoveryEngine::DiscoveryRows>>
-DiscoveryEngine::try_discover_batch(const std::vector<std::string>& request_xmls,
-                                    const QueryOptions& options) {
-    return catching<std::vector<DiscoveryRows>>([&] {
-        std::vector<desc::ServiceRequest> requests;
-        requests.reserve(request_xmls.size());
-        for (const std::string& xml : request_xmls) {
-            requests.push_back(desc::parse_request(xml));
-        }
-        return discover_batch(requests, options);
-    });
-}
-
-directory::QueryResult DiscoveryEngine::query_parallel(
-    const desc::ServiceRequest& request, const QueryOptions& options) {
-    const auto resolved = desc::resolve_request(request, kb_->registry());
-    if (resolved.size() < 2) return directory_->query(request, options);
-
-    const desc::ServiceRequest* constraints =
-        has_constraints(request) ? &request : nullptr;
-
-    Stopwatch stopwatch;
-    directory::QueryResult result;
-    result.per_capability.resize(resolved.size());
-
-    using CapabilityAnswer =
-        std::pair<std::vector<directory::MatchHit>, directory::MatchStats>;
-    std::vector<std::future<CapabilityAnswer>> answers;
-    answers.reserve(resolved.size());
-    engine_metrics_.pool_tasks->inc(resolved.size());
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
-        answers.push_back(pool().submit([this, &resolved, constraints, &options,
-                                         i]() -> CapabilityAnswer {
-            directory::MatchStats stats;
-            auto hits = directory_->query_capability(resolved[i], constraints,
-                                                     options, stats);
-            return {std::move(hits), stats};
-        }));
-    }
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
-        auto [hits, stats] = answers[i].get();
-        result.per_capability[i] = std::move(hits);
-        result.stats.capability_matches += stats.capability_matches;
-        result.stats.concept_queries += stats.concept_queries;
-        result.stats.dags_visited += stats.dags_visited;
-        result.stats.dags_pruned += stats.dags_pruned;
-        result.stats.quick_rejects += stats.quick_rejects;
-        result.stats.reachability_prunes += stats.reachability_prunes;
-        result.stats.scratch_allocs += stats.scratch_allocs;
-    }
-    if (options.require_all_capabilities && !result.fully_satisfied()) {
-        for (auto& hits : result.per_capability) hits.clear();
-    }
-    result.timing.match_ms = stopwatch.elapsed_ms();
-    return result;
-}
-
-support::ThreadPool& DiscoveryEngine::pool() {
-    std::lock_guard lock(pool_mutex_);
-    if (!pool_) {
-        pool_ = std::make_unique<support::ThreadPool>(
-            support::ThreadPool::default_worker_count());
-        engine_metrics_.pool_workers->set(
-            static_cast<std::int64_t>(pool_->worker_count()));
-    }
-    return *pool_;
 }
 
 DiscoveryEngine::DiscoveryRows DiscoveryEngine::to_discoveries(

@@ -15,8 +15,7 @@
 //
 // Thread safety mirrors SemanticDirectory: publish / withdraw / discover /
 // try_* may run concurrently from any number of threads; ontology
-// registration must be quiesced. QueryOptions::parallel additionally fans
-// a multi-capability request across the engine's internal worker pool.
+// registration must be quiesced.
 //
 // Error contract: publish/discover (and register_ontology) throw the
 // exception taxonomy of support/errors.hpp (ParseError, LookupError,
@@ -26,7 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,9 +35,7 @@
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "ontology/loader.hpp"
-#include "support/lock_rank.hpp"
 #include "support/result.hpp"
-#include "support/thread_pool.hpp"
 
 namespace sariadne {
 
@@ -63,14 +59,10 @@ public:
           directory_(std::make_unique<directory::SemanticDirectory>(
               *kb_, directory::SummaryConfig{}, metrics_.get())) {
         engine_metrics_.discoveries = &metrics_->counter(obs::names::kEngineDiscoveries);
-        engine_metrics_.discoveries_parallel =
-            &metrics_->counter(obs::names::kEngineDiscoveriesParallel);
         engine_metrics_.discoveries_satisfied =
             &metrics_->counter(obs::names::kEngineDiscoveriesSatisfied);
         engine_metrics_.discoveries_unsatisfied =
             &metrics_->counter(obs::names::kEngineDiscoveriesUnsatisfied);
-        engine_metrics_.pool_tasks = &metrics_->counter(obs::names::kEnginePoolTasks);
-        engine_metrics_.pool_workers = &metrics_->gauge(obs::names::kEnginePoolWorkers);
         engine_metrics_.discover_ms = &metrics_->histogram(obs::names::kEngineDiscoverMs);
     }
 
@@ -98,19 +90,6 @@ public:
     /// success, the classified error otherwise.
     Result<PublishReceipt> try_publish(std::string_view service_xml);
 
-    /// Bulk publish of already-parsed descriptions — one service-table
-    /// critical section, one DAG shard lock per shard run, at most one
-    /// summary rebuild (SemanticDirectory::publish_batch). Returns the
-    /// issued handles in batch order.
-    std::vector<directory::ServiceId> publish_batch(
-        std::vector<desc::ServiceDescription> batch);
-
-    /// Non-throwing bulk publish from XML documents. All-or-nothing: a
-    /// parse or version failure in any member rejects the whole batch with
-    /// the directory untouched.
-    Result<std::vector<PublishReceipt>> try_publish_batch(
-        std::vector<std::string> service_xmls);
-
     /// Withdraws a previously published service.
     bool withdraw(directory::ServiceId service) {
         return directory_->remove(service);
@@ -130,22 +109,6 @@ public:
     Result<DiscoveryRows> try_discover(std::string_view request_xml,
                                        const QueryOptions& options = {});
 
-    /// Matches a pipelined burst of requests in one call, reusing a single
-    /// QueryResult (and its hit vectors/strings) across the whole burst so
-    /// per-request result-buffer allocations amortize to zero; each request
-    /// still counts as one discovery in the metrics. Answers come back in
-    /// request order.
-    std::vector<DiscoveryRows> discover_batch(
-        const std::vector<desc::ServiceRequest>& requests,
-        const QueryOptions& options = {});
-
-    /// Non-throwing burst discover from XML documents. All-or-nothing on
-    /// parse: a malformed member rejects the whole batch before any
-    /// matching runs.
-    Result<std::vector<DiscoveryRows>> try_discover_batch(
-        const std::vector<std::string>& request_xmls,
-        const QueryOptions& options = {});
-
     encoding::KnowledgeBase& knowledge_base() noexcept { return *kb_; }
     directory::SemanticDirectory& directory() noexcept { return *directory_; }
     const directory::SemanticDirectory& directory() const noexcept {
@@ -162,28 +125,16 @@ public:
 private:
     DiscoveryRows to_discoveries(const directory::QueryResult& result) const;
 
-    /// Fans the per-capability matching across the worker pool; falls back
-    /// to the inline path for single-capability requests.
-    directory::QueryResult query_parallel(const desc::ServiceRequest& request,
-                                          const QueryOptions& options);
-
-    /// The engine's worker pool, created on first parallel query.
-    support::ThreadPool& pool();
-
     /// Classifies one finished discover call into the outcome counters and
     /// the latency histogram.
-    void record_discovery(const DiscoveryRows& rows, const QueryOptions& options,
-                          double elapsed_ms);
+    void record_discovery(const DiscoveryRows& rows, double elapsed_ms);
 
     /// Cached engine-level registry handles (the registry itself is owned,
     /// so these are always non-null after construction).
     struct EngineMetrics {
         obs::Counter* discoveries = nullptr;
-        obs::Counter* discoveries_parallel = nullptr;
         obs::Counter* discoveries_satisfied = nullptr;
         obs::Counter* discoveries_unsatisfied = nullptr;
-        obs::Counter* pool_tasks = nullptr;
-        obs::Gauge* pool_workers = nullptr;
         obs::Histogram* discover_ms = nullptr;
     };
 
@@ -193,10 +144,6 @@ private:
     std::unique_ptr<obs::MetricsRegistry> metrics_;
     EngineMetrics engine_metrics_;
     std::unique_ptr<directory::SemanticDirectory> directory_;
-    /// Guards lazy pool_ creation. Outermost rank: held only around the
-    /// pool's construction, released before any task is submitted.
-    support::RankedMutex pool_mutex_{support::LockRank::kEnginePool};
-    std::unique_ptr<support::ThreadPool> pool_;
 };
 
 }  // namespace sariadne

@@ -657,37 +657,6 @@ void CapabilityDag::query_all_into(const ResolvedCapability& request,
     }
 }
 
-std::vector<MatchHit> CapabilityDag::query_all(
-    const ResolvedCapability& request, matching::DistanceOracle& oracle,
-    MatchStats& stats) const {
-    support::Arena& arena = support::query_scratch_arena();
-    arena.reset();
-    support::ArenaVec<RawHit> raw(arena);
-    query_all_into(request, oracle, stats, arena, raw);
-    std::vector<MatchHit> hits;
-    hits.reserve(raw.size());
-    for (const RawHit& hit : raw) {
-        hits.push_back(MatchHit{hit.service, std::string(hit.service_name),
-                                std::string(hit.capability_name),
-                                hit.semantic_distance});
-    }
-    return hits;
-}
-
-std::vector<MatchHit> CapabilityDag::query(const ResolvedCapability& request,
-                                           matching::DistanceOracle& oracle,
-                                           MatchStats& stats) const {
-    std::vector<MatchHit> all = query_all(request, oracle, stats);
-    if (all.empty()) return all;
-    int best = all.front().semantic_distance;
-    for (const MatchHit& hit : all) best = std::min(best, hit.semantic_distance);
-    std::erase_if(all,
-                  [best](const MatchHit& hit) {
-                      return hit.semantic_distance != best;
-                  });
-    return all;
-}
-
 std::vector<VertexId> CapabilityDag::root_ids() const {
     std::vector<VertexId> roots;
     for (VertexId v = 0; v < vertices_.size(); ++v) {

@@ -143,25 +143,13 @@ public:
     std::size_t remove_service(ServiceId service);
 
     /// The paper's query algorithm: probe roots; on a match descend through
-    /// successors collecting matching vertices; return the hits with the
-    /// minimum semantic distance (all entries of the best vertices).
-    std::vector<MatchHit> query(const ResolvedCapability& request,
-                                matching::DistanceOracle& oracle,
-                                MatchStats& stats) const;
-
-    /// Same traversal, but returns the entries of *every* matching vertex
-    /// (still pruning non-matching sub-hierarchies). Used when hits must
-    /// additionally pass QoS/context constraints, so the closest admissible
-    /// advertisement may not be the globally closest one.
-    std::vector<MatchHit> query_all(const ResolvedCapability& request,
-                                    matching::DistanceOracle& oracle,
-                                    MatchStats& stats) const;
-
-    /// The zero-allocation traversal behind both query flavors: identical
-    /// probe order, pruning and stats to query_all, but every piece of
-    /// scratch (visited map, BFS frontier, doom bitset, hit names) lives
-    /// in `arena`, and hits append to the caller's arena-backed list as
-    /// RawHits. Never resets the arena — the caller owns reset points.
+    /// successors collecting matching vertices, pruning sub-hierarchies
+    /// whose top fails. Appends the entries of *every* matching vertex to
+    /// the caller's arena-backed list as RawHits, so the caller can pick
+    /// the minimal-distance tier, or the closest hits that also pass
+    /// QoS/context constraints. Every piece of scratch (visited map, BFS
+    /// frontier, doom bitset, hit names) lives in `arena`; it never resets
+    /// the arena — the caller owns reset points.
     void query_all_into(const ResolvedCapability& request,
                         matching::DistanceOracle& oracle, MatchStats& stats,
                         support::Arena& arena,
@@ -229,7 +217,7 @@ private:
     /// Slots of dead vertices, reused by the next insert. Without reuse a
     /// republish-heavy workload (remove + insert per refresh) grows
     /// vertices_ by one dead slot per cycle, and every full-vector walk —
-    /// insert's root/leaf scans, remove_service, query_all's visited
+    /// insert's root/leaf scans, remove_service, query_all_into's visited
     /// bitmap — degrades linearly with publish *history* instead of live
     /// directory size.
     std::vector<VertexId> free_;

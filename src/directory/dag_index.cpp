@@ -196,63 +196,6 @@ void DagIndex::query_all_into(const ResolvedCapability& request,
     }
 }
 
-std::vector<MatchHit> DagIndex::query_all(const ResolvedCapability& request,
-                                          matching::DistanceOracle& oracle,
-                                          MatchStats& stats) const {
-    support::Arena& arena = support::query_scratch_arena();
-    arena.reset();
-    support::ArenaVec<RawHit> raw(arena);
-    query_all_into(request, oracle, stats, arena, raw);
-    std::vector<MatchHit> all;
-    all.reserve(raw.size());
-    for (const RawHit& hit : raw) {
-        all.push_back(MatchHit{hit.service, std::string(hit.service_name),
-                               std::string(hit.capability_name),
-                               hit.semantic_distance});
-    }
-    return all;
-}
-
-std::vector<MatchHit> DagIndex::query(const ResolvedCapability& request,
-                                      matching::DistanceOracle& oracle,
-                                      MatchStats& stats) const {
-    std::vector<MatchHit> best;
-    const std::uint64_t request_mask = ontology_mask_of(request.ontologies);
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-        const Shard& shard = shards_[s];
-        const std::size_t dag_count =
-            shard.dag_count.load(std::memory_order_acquire);
-        if (dag_count == 0) continue;
-        if ((shard.ontology_mask.load(std::memory_order_acquire) &
-             request_mask) == 0) {
-            stats.dags_pruned += dag_count;  // same accounting as query_all_into
-            continue;
-        }
-        std::shared_lock lock(shard.mutex, std::try_to_lock);
-        if (!lock.owns_lock()) {
-            contention_.inc();
-            lock.lock();
-        }
-        for (const auto& dag : shard.dags) {
-            if (!dag->signature().intersects(request.ontologies)) {
-                ++stats.dags_pruned;
-                continue;
-            }
-            ++stats.dags_visited;
-            std::vector<MatchHit> hits = dag->query(request, oracle, stats);
-            if (hits.empty()) continue;
-            if (best.empty() || hits.front().semantic_distance <
-                                    best.front().semantic_distance) {
-                best = std::move(hits);
-            } else if (hits.front().semantic_distance ==
-                       best.front().semantic_distance) {
-                best.insert(best.end(), hits.begin(), hits.end());
-            }
-        }
-    }
-    return best;
-}
-
 std::size_t DagIndex::dag_count() const noexcept {
     std::size_t count = 0;
     for (std::size_t s = 0; s < shard_count_; ++s) {

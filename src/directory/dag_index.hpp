@@ -91,25 +91,13 @@ public:
         ServiceId service,
         const std::vector<FlatSet<OntologyIndex>>& signatures);
 
-    /// Queries all candidate DAGs (signature intersects the request's
-    /// ontology set) and returns the hits with the globally minimal
-    /// semantic distance. Thread-safe against concurrent inserts/removals.
-    std::vector<MatchHit> query(const ResolvedCapability& request,
-                                matching::DistanceOracle& oracle,
-                                MatchStats& stats) const;
-
-    /// All matching hits across candidate DAGs, any distance (for
-    /// constraint-filtered and top-k selection).
-    std::vector<MatchHit> query_all(const ResolvedCapability& request,
-                                    matching::DistanceOracle& oracle,
-                                    MatchStats& stats) const;
-
-    /// Zero-allocation variant: appends every matching hit as RawHits into
-    /// the caller's arena-backed list (names pinned into `arena` under each
-    /// shard's reader lock). Identical traversal, pruning and stats to
-    /// query_all; the caller owns arena reset points. All selection
-    /// (best-tier, top-k, max-distance) happens on the RawHits afterwards —
-    /// query() is equivalent to the minimal-distance tier of this result.
+    /// Probes every candidate DAG (signature intersects the request's
+    /// ontology set) and appends every matching hit, any distance, as
+    /// RawHits into the caller's arena-backed list (names pinned into
+    /// `arena` under each shard's reader lock); the caller owns arena
+    /// reset points. All selection (best-tier, top-k, max-distance)
+    /// happens on the RawHits afterwards. Thread-safe against concurrent
+    /// inserts/removals.
     void query_all_into(const ResolvedCapability& request,
                         matching::DistanceOracle& oracle, MatchStats& stats,
                         support::Arena& arena,

@@ -339,15 +339,6 @@ void SemanticDirectory::run_query(
     metrics_.query_match_ms->observe(out.timing.match_ms);
 }
 
-std::vector<MatchHit> SemanticDirectory::query_capability(
-    const desc::ResolvedCapability& capability,
-    const desc::ServiceRequest* constraints, const QueryOptions& options,
-    MatchStats& stats) const {
-    std::vector<MatchHit> hits;
-    query_capability_into(capability, constraints, options, stats, hits);
-    return hits;
-}
-
 void SemanticDirectory::query_capability_into(
     const desc::ResolvedCapability& capability,
     const desc::ServiceRequest* constraints, const QueryOptions& options,
@@ -385,9 +376,6 @@ void SemanticDirectory::match_one_into(
 
     support::ArenaVec<RawHit> hits(arena);
     dags_.query_all_into(capability, oracle, stats, arena, hits);
-    // (The former dags_.query() fast path is subsumed: per-DAG best-tier
-    // merging visits exactly the vertices query_all_into visits, so stats
-    // are identical and selection below reproduces its result.)
 
     // max_distance is *inclusive*: a hit at exactly max_distance survives.
     // This is the only distance-bound filter site on any query path — the

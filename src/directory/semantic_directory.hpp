@@ -7,12 +7,12 @@
 // per SummaryConfig) that the distributed protocol exchanges between
 // directories.
 //
-// Thread safety: publish / publish_xml / remove / query* /
-// query_capability and the introspection counters may be called from any
-// number of threads concurrently. The capability-DAG index is sharded
-// with per-shard reader–writer locks (see DagIndex), so queries — pure
-// reads over interval codes — run fully in parallel and only contend
-// with publishes touching the same shard; the service table and the
+// Thread safety: publish / publish_xml / remove / query* and the
+// introspection counters may be called from any number of threads
+// concurrently. The capability-DAG index is sharded with per-shard
+// reader–writer locks (see DagIndex), so queries — pure reads over
+// interval codes — run fully in parallel and only contend with
+// publishes touching the same shard; the service table and the
 // routing summary carry their own locks. Two operations are excluded from
 // the guarantee and require quiescence: registering/upgrading ontologies
 // in the shared KnowledgeBase, and retaining the pointer returned by
@@ -153,22 +153,6 @@ public:
                         const std::vector<desc::ResolvedCapability>& resolved,
                         const QueryOptions& options, QueryResult& out) const;
 
-    /// Matches one resolved capability — the unit the parallel query path
-    /// of DiscoveryEngine fans across its worker pool. `constraints`, when
-    /// non-null, applies that request's QoS/context/conversation filters.
-    /// Work counters are accumulated into `stats`. Thread-safe.
-    std::vector<MatchHit> query_capability(
-        const desc::ResolvedCapability& capability,
-        const desc::ServiceRequest* constraints, const QueryOptions& options,
-        MatchStats& stats) const;
-
-    /// Reuse variant: fills `out` (cleared first) instead of returning a
-    /// fresh vector, recycling its element strings.
-    void query_capability_into(const desc::ResolvedCapability& capability,
-                               const desc::ServiceRequest* constraints,
-                               const QueryOptions& options, MatchStats& stats,
-                               std::vector<MatchHit>& out) const;
-
     // --- introspection ---------------------------------------------------
     std::size_t service_count() const;
     std::size_t capability_count() const { return dags_.entry_count(); }
@@ -217,6 +201,15 @@ public:
     encoding::KnowledgeBase& knowledge_base() noexcept { return *kb_; }
 
 private:
+    /// Matches one resolved capability into `out` (cleared first,
+    /// recycling its element strings). `constraints`, when non-null,
+    /// applies that request's QoS/context/conversation filters. Work
+    /// counters are accumulated into `stats`.
+    void query_capability_into(const desc::ResolvedCapability& capability,
+                               const desc::ServiceRequest* constraints,
+                               const QueryOptions& options, MatchStats& stats,
+                               std::vector<MatchHit>& out) const;
+
     /// The per-capability matching kernel behind every query entry point:
     /// one arena-scratch DAG traversal, then max-distance compaction,
     /// constraint filtering and top-k / best-tier selection on the RawHits

@@ -83,11 +83,6 @@ struct QueryOptions {
     /// has no admissible hit, every per-capability hit list comes back
     /// empty (the shape of the request is preserved).
     bool require_all_capabilities = false;
-
-    /// Fan the per-capability matching of a multi-capability request
-    /// across DiscoveryEngine's worker pool. Only honoured by
-    /// DiscoveryEngine; SemanticDirectory itself always matches inline.
-    bool parallel = false;
 };
 
 /// Outcome of publishing a service description: the issued handle plus the

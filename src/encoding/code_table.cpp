@@ -44,7 +44,6 @@ CodeTable CodeTable::build(const onto::Ontology& ontology,
 
     CodeTable table;
     table.ontology_uri_ = ontology.uri();
-    table.ontology_version_ = ontology.version();
     table.params_ = params;
     table.version_tag_ = mix64(fnv1a64(ontology.uri()) ^
                                (std::uint64_t{ontology.version()} << 32) ^

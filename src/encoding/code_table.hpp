@@ -81,7 +81,6 @@ public:
     std::uint64_t version_tag() const noexcept { return version_tag_; }
 
     const std::string& ontology_uri() const noexcept { return ontology_uri_; }
-    std::uint32_t ontology_version() const noexcept { return ontology_version_; }
     const EncodingParams& params() const noexcept { return params_; }
 
     /// Replication budget: maximum interval occurrences per table.
@@ -93,7 +92,6 @@ private:
     std::vector<CodedInterval> packed_;     // all occurrences, CSR layout
     std::uint64_t version_tag_ = 0;
     std::string ontology_uri_;
-    std::uint32_t ontology_version_ = 0;
     EncodingParams params_;
 };
 

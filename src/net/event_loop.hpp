@@ -96,8 +96,6 @@ public:
     /// is async-signal-safe) to trigger request_stop() semantics.
     int stop_fd() const noexcept { return wake_pipe_[1]; }
 
-    bool stop_requested() const noexcept { return stop_requested_; }
-
     /// Runs until request_stop() (or a byte on stop_fd()), then drains:
     /// stops accepting, flushes pending write queues for at most
     /// `drain_grace_ms`, closes every connection and returns.

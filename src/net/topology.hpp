@@ -61,11 +61,6 @@ public:
         return infrastructure_[node] != 0;
     }
 
-    void set_infrastructure(NodeId node, bool value) {
-        SARIADNE_EXPECTS(node < infrastructure_.size());
-        infrastructure_[node] = value ? 1 : 0;
-    }
-
     /// Latency-weighted distance between up-nodes (radio hop = 1.0, wired
     /// link = its weight); -1 when unreachable. This is what the
     /// simulator charges for unicasts.

@@ -1,10 +1,11 @@
 // The metric-name table. Every metric a src/ component creates in an
 // obs::MetricsRegistry is declared here, so the full exposition surface is
 // reviewable in one place and renames cannot silently fork a series
-// (dashboards key on these strings). sariadne-analyze enforces the
-// rule: no quoted name literal may be passed to counter()/gauge()/
+// (dashboards key on these strings). sariadne-analyze enforces two
+// rules: no quoted name literal may be passed to counter()/gauge()/
 // histogram() anywhere under src/ — call sites reference these constants
-// (tests and benches may still create ad-hoc metrics).
+// (tests and benches may still create ad-hoc metrics) — and every
+// constant here is named as `names::k…` by some other file under src/.
 //
 // Naming scheme (see obs/metrics.hpp): `<layer>.<quantity>[{key="value"}]`,
 // `_ms` suffix for millisecond histograms.
@@ -17,14 +18,10 @@ namespace sariadne::obs::names {
 
 // --- engine.* (core/discovery_engine.hpp) -------------------------------
 inline constexpr std::string_view kEngineDiscoveries = "engine.discoveries";
-inline constexpr std::string_view kEngineDiscoveriesParallel =
-    "engine.discoveries{mode=\"parallel\"}";
 inline constexpr std::string_view kEngineDiscoveriesSatisfied =
     "engine.discoveries_satisfied";
 inline constexpr std::string_view kEngineDiscoveriesUnsatisfied =
     "engine.discoveries_unsatisfied";
-inline constexpr std::string_view kEnginePoolTasks = "engine.pool_tasks";
-inline constexpr std::string_view kEnginePoolWorkers = "engine.pool_workers";
 inline constexpr std::string_view kEngineDiscoverMs = "engine.discover_ms";
 
 // --- directory.* (directory/semantic_directory.hpp) ---------------------

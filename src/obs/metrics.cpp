@@ -118,12 +118,6 @@ std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
     return it == gauges_.end() ? 0 : it->second->value();
 }
 
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-    std::lock_guard lock(mutex_);
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 std::string MetricsRegistry::to_prometheus() const {
     std::lock_guard lock(mutex_);
     std::string out;

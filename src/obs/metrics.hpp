@@ -143,10 +143,9 @@ public:
     /// count/sum/mean plus per-bound bucket counts.
     std::string to_json() const;
 
-    /// Exact value lookups for assertions; 0 / nullptr when absent.
+    /// Exact value lookups for assertions; 0 when absent.
     std::uint64_t counter_value(std::string_view name) const;
     std::int64_t gauge_value(std::string_view name) const;
-    const Histogram* find_histogram(std::string_view name) const;
 
 private:
     // std::map keeps the exposition deterministically sorted; values are

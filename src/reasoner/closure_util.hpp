@@ -52,14 +52,6 @@ public:
         return changed;
     }
 
-    /// True if every set bit of row j is also set in row i (row j ⊆ row i).
-    bool row_contains(std::size_t i, std::size_t j) const noexcept {
-        for (std::size_t w = 0; w < words_; ++w) {
-            if ((bits_[j * words_ + w] & ~bits_[i * words_ + w]) != 0) return false;
-        }
-        return true;
-    }
-
 private:
     std::size_t n_;
     std::size_t words_;

@@ -64,28 +64,23 @@ void IntervalSummary::retain(std::string_view uri, std::uint64_t code_tag,
     }
 }
 
-void IntervalSummary::release(std::string_view uri, Role role,
+bool IntervalSummary::release(std::string_view uri, Role role,
                               std::uint32_t code) {
     const auto ent_it = std::lower_bound(
         entries_.begin(), entries_.end(), uri,
         [](const Entry& e, std::string_view key) { return e.uri < key; });
-    if (ent_it == entries_.end() || ent_it->uri != uri) {
-        assert(false && "release of untracked ontology");
-        return;
-    }
+    if (ent_it == entries_.end() || ent_it->uri != uri) return false;
     auto& refs = ent_it->refs[role_index(role)];
     const auto ref_it = refs.find(code);
-    if (ref_it == refs.end()) {
-        assert(false && "release of untracked code");
-        return;
-    }
-    if (--ref_it->second != 0) return;
+    if (ref_it == refs.end()) return false;
+    if (--ref_it->second != 0) return true;
     refs.erase(ref_it);
     const bool changed = ent_it->bits[role_index(role)].clear(code);
     assert(changed && "refcount 1->0 must clear the bit");
     (void)changed;
     ++version_;
     if (entry_is_empty(*ent_it)) entries_.erase(ent_it);
+    return true;
 }
 
 void IntervalSummary::retain_projection(const CapabilityProjection& projection) {
@@ -103,7 +98,11 @@ void IntervalSummary::release_projection(
     for (const OntologyCodes& oc : projection.per_ontology) {
         for (int r = 0; r < kRoleCount; ++r) {
             for (const std::uint32_t code : oc.codes[r]) {
-                release(oc.uri, static_cast<Role>(r), code);
+                // The directory releases only what it retained; anything
+                // else is a refcount bug.
+                const bool held = release(oc.uri, static_cast<Role>(r), code);
+                assert(held && "release of untracked code");
+                (void)held;
             }
         }
     }

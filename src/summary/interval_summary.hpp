@@ -123,10 +123,14 @@ public:
 
     /// Releases one code occurrence; clears the bit on the 1→0 transition
     /// and erases entries that lose their last code, so churn never grows
-    /// the summary. Releasing an untracked code is a no-op.
-    void release(std::string_view uri, Role role, std::uint32_t code);
+    /// the summary. Releasing a code the summary holds no reference to
+    /// (snapshots and decoded summaries hold none) changes nothing and
+    /// returns false, in every build type.
+    bool release(std::string_view uri, Role role, std::uint32_t code);
 
-    /// Retain/release every code of a projection.
+    /// Retain/release every code of a projection. release_projection is
+    /// the directory's release path: releasing a code it never retained
+    /// is a refcount bug, and debug builds abort on it.
     void retain_projection(const CapabilityProjection& projection);
     void release_projection(const CapabilityProjection& projection);
 

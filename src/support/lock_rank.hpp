@@ -10,7 +10,6 @@
 //
 // The hierarchy (outermost = lowest rank, must be acquired first):
 //
-//   kEnginePool           DiscoveryEngine::pool_mutex_
 //   kDirectorySummary     SemanticDirectory::summary_mutex_
 //   kDirectoryServices    SemanticDirectory::services_mutex_
 //   kDagShard             DagIndex::Shard::mutex (never two shards nested)
@@ -28,10 +27,6 @@
 // kTransportQueue is the innermost leaf: the event loop's cross-thread
 // post queue is locked only to swap the pending vector, never while
 // calling out into protocol or registry code.
-//
-// support::ThreadPool keeps a naked std::mutex: std::condition_variable
-// requires the concrete type, and its queue mutex is a leaf that never
-// nests (see the lint suppression at its declaration).
 //
 // Checking is enabled when SARIADNE_LOCKRANK_CHECKS is defined non-zero
 // (the SARIADNE_LOCKRANK CMake option) or, by default, in builds without
@@ -62,7 +57,6 @@ namespace sariadne::support {
 /// The global lock hierarchy. Values are spaced so a future mutex slots
 /// between existing layers without renumbering everything.
 enum class LockRank : std::uint8_t {
-    kEnginePool = 10,
     kDirectorySummary = 20,
     kDirectoryServices = 30,
     kDagShard = 40,
@@ -74,7 +68,6 @@ enum class LockRank : std::uint8_t {
 
 constexpr std::string_view to_string(LockRank rank) noexcept {
     switch (rank) {
-        case LockRank::kEnginePool: return "engine-pool";
         case LockRank::kDirectorySummary: return "directory-summary";
         case LockRank::kDirectoryServices: return "directory-services";
         case LockRank::kDagShard: return "dag-shard";

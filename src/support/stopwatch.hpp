@@ -25,9 +25,6 @@ public:
     /// Elapsed time in milliseconds (the unit the paper's figures use).
     double elapsed_ms() const noexcept { return elapsed_seconds() * 1e3; }
 
-    /// Elapsed time in microseconds.
-    double elapsed_us() const noexcept { return elapsed_seconds() * 1e6; }
-
 private:
     clock::time_point start_;
 };

@@ -22,12 +22,10 @@ public:
     explicit XmlNode(std::string name) : name_(std::move(name)) {}
 
     const std::string& name() const noexcept { return name_; }
-    void set_name(std::string name) { name_ = std::move(name); }
 
     /// Concatenated text content directly under this element (child element
     /// text is *not* included), with surrounding whitespace trimmed.
     const std::string& text() const noexcept { return text_; }
-    void append_text(std::string_view more) { text_ += more; }
     void set_text(std::string text) { text_ = std::move(text); }
 
     // --- attributes ---------------------------------------------------

@@ -15,7 +15,6 @@
 #include "core/discovery_engine.hpp"
 #include "directory/flat_directory.hpp"
 #include "directory/semantic_directory.hpp"
-#include "support/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "workload/ontology_gen.hpp"
 #include "workload/service_gen.hpp"
@@ -351,9 +350,6 @@ TEST(Concurrency, ParallelEngineDiscoverIsSafeUnderConcurrentPublish) {
     second.name = "SecondNeed";
     request.capabilities.push_back(second);
 
-    QueryOptions options;
-    options.parallel = true;
-
     std::atomic<bool> stop{false};
     std::thread publisher([&] {
         int n = 0;
@@ -364,34 +360,13 @@ TEST(Concurrency, ParallelEngineDiscoverIsSafeUnderConcurrentPublish) {
         }
     });
     for (int i = 0; i < 50; ++i) {
-        const auto results = engine.discover(request, options);
+        const auto results = engine.discover(request);
         ASSERT_EQ(results.size(), 2u);
         EXPECT_FALSE(results[0].empty());
         EXPECT_FALSE(results[1].empty());
     }
     stop.store(true, std::memory_order_relaxed);
     publisher.join();
-}
-
-TEST(ThreadPool, RunsEverySubmittedTaskAndReturnsResults) {
-    support::ThreadPool pool(4);
-    EXPECT_EQ(pool.worker_count(), 4u);
-    std::vector<std::future<int>> futures;
-    futures.reserve(100);
-    for (int i = 0; i < 100; ++i) {
-        futures.push_back(pool.submit([i] { return i * i; }));
-    }
-    long long sum = 0;
-    for (auto& future : futures) sum += future.get();
-    long long expected = 0;
-    for (int i = 0; i < 100; ++i) expected += static_cast<long long>(i) * i;
-    EXPECT_EQ(sum, expected);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-    support::ThreadPool pool(2);
-    auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW((void)future.get(), std::runtime_error);
 }
 
 }  // namespace

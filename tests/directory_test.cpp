@@ -120,8 +120,8 @@ TEST_F(DagFixture, QueryReturnsMinimumDistanceVertex) {
 
     // GetVideoStream's category is VideoServer: the specific capability
     // matches at distance 2 less than the generic one.
-    const auto hits =
-        dag.query(resolve(th::get_video_stream()), oracle_, stats_);
+    const auto hits = th::dag_hits(dag, resolve(th::get_video_stream()),
+                                   oracle_, stats_, /*best_tier=*/true);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].capability_name, "specific");
     EXPECT_EQ(hits[0].semantic_distance, 1);  // input distance only
@@ -131,8 +131,8 @@ TEST_F(DagFixture, QueryPrunesNonMatchingSubtrees) {
     CapabilityDag dag(FlatSet<onto::OntologyIndex>{0, 1});
     dag.insert(DagEntry{resolve(th::provide_game()), 1}, oracle_, stats_);
     MatchStats query_stats;
-    const auto hits =
-        dag.query(resolve(th::get_video_stream()), oracle_, query_stats);
+    const auto hits = th::dag_hits(dag, resolve(th::get_video_stream()),
+                                   oracle_, query_stats, /*best_tier=*/true);
     EXPECT_TRUE(hits.empty());
     // Only the root was probed.
     EXPECT_EQ(query_stats.capability_matches, 1u);
@@ -168,8 +168,8 @@ TEST_F(DagFixture, DagIndexGroupsBySignatureAndPrunes) {
     EXPECT_EQ(index.dag_count(), 2u);
 
     MatchStats query_stats;
-    const auto hits =
-        index.query(resolve(th::get_video_stream()), oracle_, query_stats);
+    const auto hits = th::dag_hits(index, resolve(th::get_video_stream()),
+                                   oracle_, query_stats, /*best_tier=*/true);
     ASSERT_FALSE(hits.empty());
     EXPECT_GT(query_stats.dags_visited, 0u);
 }

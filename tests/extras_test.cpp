@@ -1,5 +1,5 @@
 // Cross-cutting corner cases that the per-module suites do not reach:
-// query_all semantics, taxonomy equivalence classes, sparse-handle state
+// every-hit DAG queries, taxonomy equivalence classes, sparse-handle state
 // export, non-default encoding parameters end-to-end, simulator guards,
 // and environment-tag algebra.
 #include <gtest/gtest.h>
@@ -45,10 +45,10 @@ TEST_F(ExtrasFixture, QueryAllReturnsEveryMatchingVertex) {
     dag.insert(directory::DagEntry{resolve(specific), 2}, oracle_, stats);
 
     const auto all =
-        dag.query_all(resolve(th::get_video_stream()), oracle_, stats);
+        th::dag_hits(dag, resolve(th::get_video_stream()), oracle_, stats);
     EXPECT_EQ(all.size(), 2u);  // both generic (d=3) and specific (d=1)
-    const auto best =
-        dag.query(resolve(th::get_video_stream()), oracle_, stats);
+    const auto best = th::dag_hits(dag, resolve(th::get_video_stream()),
+                                   oracle_, stats, /*best_tier=*/true);
     ASSERT_EQ(best.size(), 1u);
     EXPECT_EQ(best[0].capability_name, "SendVideo");
 }
@@ -159,7 +159,7 @@ TEST_F(ExtrasFixture, DagIndexQueryAllSpansMultipleDags) {
 
     desc::Capability wanted = th::get_video_stream();
     wanted.category_qname.clear();  // categoryless request matches both
-    const auto all = index.query_all(resolve(wanted), oracle_, stats);
+    const auto all = th::dag_hits(index, resolve(wanted), oracle_, stats);
     EXPECT_EQ(all.size(), 2u);
 }
 

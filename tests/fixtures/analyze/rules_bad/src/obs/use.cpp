@@ -2,4 +2,5 @@
 
 void record_fixture() {
     counter("adhoc.metric");
+    counter(names::kFixtureRegistered);
 }

@@ -194,8 +194,19 @@ TEST(RulesPass, FlagsMetricNameLiterals) {
     const analyze::Repo repo = fixture_repo("rules_bad");
     const std::vector<analyze::Finding> findings =
         analyze::run_rules_pass(repo);
-    ASSERT_EQ(findings.size(), 1u) << dump(findings);
+    EXPECT_EQ(count_by_rule(findings)["metric-name"], 1) << dump(findings);
     EXPECT_TRUE(has_finding(findings, "src/obs/use.cpp", 4, "metric-name"))
+        << dump(findings);
+}
+
+TEST(RulesPass, FlagsMetricNamesNoOtherSourceNames) {
+    // The fixture table declares two names; use.cpp names only the first.
+    const analyze::Repo repo = fixture_repo("rules_bad");
+    const std::vector<analyze::Finding> findings =
+        analyze::run_rules_pass(repo);
+    ASSERT_EQ(findings.size(), 2u) << dump(findings);
+    EXPECT_TRUE(has_finding(findings, "src/obs/metric_names.hpp", 7,
+                            "metric-name-unused"))
         << dump(findings);
 }
 

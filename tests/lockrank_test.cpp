@@ -19,31 +19,32 @@ using CheckedMutex = BasicRankedMutex<true>;
 using CheckedSharedMutex = BasicRankedSharedMutex<true>;
 
 TEST(LockRank, AscendingAcquisitionSucceeds) {
-    CheckedMutex pool(LockRank::kEnginePool);
     CheckedMutex summary(LockRank::kDirectorySummary);
+    CheckedMutex services(LockRank::kDirectoryServices);
     CheckedMutex metrics(LockRank::kMetricsRegistry);
 
-    std::lock_guard a(pool);
-    std::lock_guard b(summary);
+    std::lock_guard a(summary);
+    std::lock_guard b(services);
     std::lock_guard c(metrics);
     EXPECT_EQ(lockrank_detail::held_count(), 3u);
 }
 
 TEST(LockRank, InversionThrowsWithStructuredFields) {
-    CheckedMutex pool(LockRank::kEnginePool);
     CheckedMutex summary(LockRank::kDirectorySummary);
+    CheckedMutex services(LockRank::kDirectoryServices);
 
-    // A→B is the sanctioned order; B→A must be rejected at the A
-    // acquisition site with a precise diagnosis.
-    std::lock_guard outer(summary);
+    // A→B is the sanctioned order (a summary rebuild holds summary, then
+    // services); B→A must be rejected at the A acquisition site with a
+    // precise diagnosis.
+    std::lock_guard outer(services);
     try {
-        pool.lock();
+        summary.lock();
         FAIL() << "lock-order inversion was not detected";
     } catch (const ContractViolation& violation) {
         EXPECT_EQ(violation.kind(), ContractKind::kLockRank);
         EXPECT_EQ(violation.expression(),
-                  "acquire engine-pool while holding directory-summary "
-                  "(ranks must be strictly ascending)");
+                  "acquire directory-summary while holding "
+                  "directory-services (ranks must be strictly ascending)");
         EXPECT_NE(std::string(violation.file()).find("lockrank_test.cpp"),
                   std::string::npos);
         EXPECT_GT(violation.line(), 0);
@@ -84,13 +85,13 @@ TEST(LockRank, SameRankNestingForbidden) {
 }
 
 TEST(LockRank, TryLockParticipatesInHierarchy) {
-    CheckedMutex pool(LockRank::kEnginePool);
     CheckedMutex summary(LockRank::kDirectorySummary);
+    CheckedMutex services(LockRank::kDirectoryServices);
 
-    std::lock_guard outer(summary);
+    std::lock_guard outer(services);
     // An inverted try_lock is an inverted blocking lock waiting to
     // happen (the try-then-block pattern), so it is rejected too.
-    EXPECT_THROW((void)pool.try_lock(), ContractViolation);
+    EXPECT_THROW((void)summary.try_lock(), ContractViolation);
 }
 
 TEST(LockRank, SharedAndExclusiveShareOneHierarchy) {
@@ -102,32 +103,32 @@ TEST(LockRank, SharedAndExclusiveShareOneHierarchy) {
 }
 
 TEST(LockRank, OutOfLifoReleaseTolerated) {
-    CheckedMutex pool(LockRank::kEnginePool);
     CheckedMutex summary(LockRank::kDirectorySummary);
+    CheckedMutex services(LockRank::kDirectoryServices);
     CheckedMutex metrics(LockRank::kMetricsRegistry);
 
-    std::unique_lock a(pool);
-    std::unique_lock b(summary);
+    std::unique_lock a(summary);
+    std::unique_lock b(services);
     a.unlock();  // release the outer lock first (unique_lock juggling)
     EXPECT_EQ(lockrank_detail::held_count(), 1u);
 
-    // The innermost *held* rank still governs: metrics (70) > summary
-    // (20) is fine, pool (10) is not.
+    // The innermost *held* rank still governs: metrics (70) > services
+    // (30) is fine, summary (20) is not.
     std::lock_guard c(metrics);
-    EXPECT_THROW(pool.lock(), ContractViolation);
+    EXPECT_THROW(summary.lock(), ContractViolation);
 }
 
 TEST(LockRank, RecoveryAfterViolation) {
-    CheckedMutex pool(LockRank::kEnginePool);
     CheckedMutex summary(LockRank::kDirectorySummary);
+    CheckedMutex services(LockRank::kDirectoryServices);
 
     {
-        std::lock_guard outer(summary);
-        EXPECT_THROW(pool.lock(), ContractViolation);
+        std::lock_guard outer(services);
+        EXPECT_THROW(summary.lock(), ContractViolation);
     }
     // All locks released; the sanctioned order works again.
-    std::lock_guard a(pool);
-    std::lock_guard b(summary);
+    std::lock_guard a(summary);
+    std::lock_guard b(services);
     EXPECT_EQ(lockrank_detail::held_count(), 2u);
 }
 

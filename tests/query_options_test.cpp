@@ -1,5 +1,5 @@
 // Facade API redesign coverage: QueryOptions (top_k, max_distance,
-// require_all_capabilities, parallel), the PublishReceipt return type, and
+// require_all_capabilities), the PublishReceipt return type, and
 // the non-throwing try_publish / try_discover entry points.
 #include <gtest/gtest.h>
 
@@ -170,30 +170,6 @@ TEST_F(RankedProvidersFixture, RequireAllCapabilitiesIsAllOrNothing) {
     ASSERT_EQ(strict.size(), 2u);  // request shape preserved
     EXPECT_TRUE(strict[0].empty());
     EXPECT_TRUE(strict[1].empty());
-}
-
-TEST_F(RankedProvidersFixture, ParallelDiscoverMatchesSequentialAnswer) {
-    desc::ServiceRequest request = video_request();
-    desc::Capability second = th::get_video_stream();
-    second.name = "SecondNeed";
-    request.capabilities.push_back(second);
-
-    QueryOptions parallel;
-    parallel.parallel = true;
-    parallel.top_k = 3;
-    QueryOptions sequential = parallel;
-    sequential.parallel = false;
-
-    const auto seq = engine_.discover(request, sequential);
-    const auto par = engine_.discover(request, parallel);
-    ASSERT_EQ(par.size(), seq.size());
-    for (std::size_t c = 0; c < seq.size(); ++c) {
-        ASSERT_EQ(par[c].size(), seq[c].size());
-        for (std::size_t h = 0; h < seq[c].size(); ++h) {
-            EXPECT_EQ(par[c][h].service_name, seq[c][h].service_name);
-            EXPECT_EQ(par[c][h].semantic_distance, seq[c][h].semantic_distance);
-        }
-    }
 }
 
 TEST_F(RankedProvidersFixture, DirectoryQueryHonoursOptionsDirectly) {

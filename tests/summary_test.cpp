@@ -155,17 +155,34 @@ TEST(IntervalSummary, RefcountsFlipBitsOnlyOnBoundaryTransitions) {
     EXPECT_EQ(s.version(), v1);
     EXPECT_EQ(s.code_count(), 1u);
 
-    s.release("urn:a", Role::kOutputs, 7);  // 2 -> 1, bit stays
+    EXPECT_TRUE(s.release("urn:a", Role::kOutputs, 7));  // 2 -> 1, bit stays
     EXPECT_EQ(s.version(), v1);
     EXPECT_EQ(s.code_count(), 1u);
 
-    s.release("urn:a", Role::kOutputs, 7);  // 1 -> 0, bit clears, entry dies
-    EXPECT_GT(s.version(), v1);
+    // 1 -> 0: the bit clears and the entry dies.
+    EXPECT_TRUE(s.release("urn:a", Role::kOutputs, 7));
+    const std::uint64_t v2 = s.version();
+    EXPECT_GT(v2, v1);
     EXPECT_EQ(s.code_count(), 0u);
     EXPECT_TRUE(s.empty()) << "entry losing its last code must be erased";
 
-    s.release("urn:a", Role::kOutputs, 7);  // untracked: no-op
+    // Untracked, in every build type: reported, and nothing changes.
+    EXPECT_FALSE(s.release("urn:a", Role::kOutputs, 7));
     EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.version(), v2);
+}
+
+TEST(IntervalSummary, DirectoryReleaseOfAnUntrackedCodeAbortsInDebug) {
+    // release_projection is the directory's release path: a code it never
+    // retained is a refcount bug, which debug builds stop at. Release
+    // builds skip it, as a single release() does.
+    IntervalSummary s;
+    s.retain("urn:a", kTag, Role::kOutputs, 7);
+    CapabilityProjection untracked;
+    untracked.per_ontology.push_back(OntologyCodes{"urn:a", kTag, {}});
+    untracked.per_ontology[0].codes[0] = {8};
+    EXPECT_DEBUG_DEATH(s.release_projection(untracked),
+                       "release of untracked code");
 }
 
 RequestProbe one_probe(std::string uri, std::uint64_t tag, Role role,
@@ -205,18 +222,35 @@ TEST(IntervalSummary, DeltaDiffApplyReproducesTargetExactly) {
     base.retain("urn:a", kTag, Role::kOutputs, 2);
     base.retain("urn:b", kTag, Role::kProperties, 70);
 
-    IntervalSummary cur = base.snapshot();
+    // A copy keeps the refcounts (a snapshot drops them), so the releases
+    // below drop real references.
+    IntervalSummary cur = base;
     // Mutations spanning all delta shapes: new code in an existing word,
     // a cleared word, a dead entry, and a brand-new entry.
     cur.retain("urn:a", kTag, Role::kOutputs, 3);
-    cur.release("urn:a", Role::kOutputs, 1);
-    cur.release("urn:b", Role::kProperties, 70);
+    EXPECT_TRUE(cur.release("urn:a", Role::kOutputs, 1));
+    EXPECT_TRUE(cur.release("urn:b", Role::kProperties, 70));
     cur.retain("urn:c", kTag, Role::kOutputs, 900);
     cur.set_version(base.version() + 10);
+    EXPECT_EQ(cur.find_entry("urn:b"), nullptr);
+    EXPECT_EQ(cur.code_count(), 3u);  // urn:a 2 and 3, urn:c 900
 
     const SummaryDelta delta = diff_summary(base, cur);
     EXPECT_EQ(delta.base_version, base.version());
     EXPECT_EQ(delta.new_version, cur.version());
+    using Slot = SparseBitmap::Slot;
+    ASSERT_EQ(delta.entries.size(), 3u);
+    // urn:a's word 0 trades code 1 for code 3.
+    EXPECT_EQ(delta.entries[0].uri, "urn:a");
+    EXPECT_EQ(delta.entries[0].words[0],
+              std::vector<Slot>{(Slot{0, 0b1100})});
+    // urn:b is dead: tag 0 and its one word (code 70) cleared.
+    EXPECT_EQ(delta.entries[1].uri, "urn:b");
+    EXPECT_EQ(delta.entries[1].code_tag, 0u);
+    EXPECT_EQ(delta.entries[1].words[1], std::vector<Slot>{(Slot{1, 0})});
+    // urn:c is new.
+    EXPECT_EQ(delta.entries[2].uri, "urn:c");
+    EXPECT_EQ(delta.entries[2].code_tag, kTag);
 
     IntervalSummary replica = base.snapshot();
     EXPECT_EQ(replica.apply_delta(delta), DeltaApply::kApplied);
@@ -297,12 +331,18 @@ TEST(SummaryWire, DeltaRoundTripAndRejection) {
         base.retain("urn:a", kTag, Role::kOutputs, c * 97);
         base.retain("urn:b", kTag, Role::kProperties, c * 131);
     }
-    IntervalSummary cur = base.snapshot();
+    IntervalSummary cur = base;  // keeps the refcounts the release drops
     cur.retain("urn:a", kTag, Role::kOutputs, 2);
-    cur.release("urn:a", Role::kOutputs, 97);
+    EXPECT_TRUE(cur.release("urn:a", Role::kOutputs, 97));
     cur.retain("urn:z", kTag, Role::kProperties, 130);
 
     const SummaryDelta delta = diff_summary(base, cur);
+    // Code 97 was alone in urn:a's word 1, so the delta clears that word.
+    using Slot = SparseBitmap::Slot;
+    ASSERT_FALSE(delta.entries.empty());
+    EXPECT_EQ(delta.entries[0].uri, "urn:a");
+    const std::vector<Slot>& words = delta.entries[0].words[0];
+    EXPECT_NE(std::find(words.begin(), words.end(), Slot{1, 0}), words.end());
     const std::vector<std::uint8_t> image = encode_delta(delta);
     auto decoded = try_decode_delta(image);
     ASSERT_TRUE(decoded.ok());

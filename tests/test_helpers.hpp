@@ -4,12 +4,16 @@
 // utilities used across suites.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "description/capability.hpp"
 #include "description/service.hpp"
+#include "directory/dag.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "ontology/ontology.hpp"
@@ -146,6 +150,33 @@ inline desc::ServiceDescription one_output_service(
     service.grounding.address = "http://" + name + ".local/";
     service.profile.capabilities.push_back(std::move(cap));
     return service;
+}
+
+/// The hits `dag` (a CapabilityDag or a DagIndex) finds for `request`
+/// through query_all_into, the traversal SemanticDirectory runs: every
+/// matching hit, or with `best_tier` only those at the minimal semantic
+/// distance (a directory's default answer).
+template <typename Dag>
+std::vector<directory::MatchHit> dag_hits(
+    const Dag& dag, const desc::ResolvedCapability& request,
+    matching::DistanceOracle& oracle, directory::MatchStats& stats,
+    bool best_tier = false) {
+    support::Arena& arena = support::query_scratch_arena();
+    arena.reset();
+    support::ArenaVec<directory::RawHit> raw(arena);
+    dag.query_all_into(request, oracle, stats, arena, raw);
+    int best = std::numeric_limits<int>::max();
+    for (const directory::RawHit& hit : raw) {
+        best = std::min(best, hit.semantic_distance);
+    }
+    std::vector<directory::MatchHit> hits;
+    for (const directory::RawHit& hit : raw) {
+        if (best_tier && hit.semantic_distance != best) continue;
+        hits.push_back(directory::MatchHit{
+            hit.service, std::string(hit.service_name),
+            std::string(hit.capability_name), hit.semantic_distance});
+    }
+    return hits;
 }
 
 /// Test-name suffix of a summary backend, for suites run over both.

@@ -19,10 +19,10 @@ namespace sariadne::analyze {
 
 const std::vector<std::pair<std::string, int>>& static_lock_ranks() {
     static const std::vector<std::pair<std::string, int>> kRanks = {
-        {"kEnginePool", 10},          {"kDirectorySummary", 20},
-        {"kDirectoryServices", 30},   {"kDagShard", 40},
-        {"kKnowledgeBaseTables", 50}, {"kTaxonomyCache", 60},
-        {"kMetricsRegistry", 70},     {"kTransportQueue", 80},
+        {"kDirectorySummary", 20},    {"kDirectoryServices", 30},
+        {"kDagShard", 40},            {"kKnowledgeBaseTables", 50},
+        {"kTaxonomyCache", 60},       {"kMetricsRegistry", 70},
+        {"kTransportQueue", 80},
     };
     return kRanks;
 }

@@ -16,6 +16,10 @@
 //                     or definition under src/ is marked noexcept — the
 //                     decode surface promises "malformed bytes never
 //                     unwind", and noexcept makes the promise a contract.
+//   8. metric-name-unused: every `k…` constant of
+//                     src/obs/metric_names.hpp is named as `names::k…` by
+//                     some other file under src/ — a name nothing
+//                     registers is a dead series in the exposition table.
 #include <regex>
 #include <set>
 #include <string>
@@ -94,6 +98,33 @@ void check_hot_path(const SourceFile& file, std::vector<Finding>& out) {
              "std::vector/std::string in a lint:hot-path file — use the "
              "query Arena (ArenaVec/ArenaBitset) or add "
              "lint:allow-hot-path-alloc(<reason>)"});
+    }
+}
+
+void check_metric_names_used(const Repo& repo, std::vector<Finding>& out) {
+    const SourceFile* table = repo.find("src/obs/metric_names.hpp");
+    if (table == nullptr) return;
+    // Qualified uses only: a bare identifier can be another enum's
+    // constant (LockRank::kDirectoryServices shares a metric's name).
+    static const std::regex use(R"(\bnames\s*::\s*(k\w+))");
+    std::set<std::string> named;
+    for (const SourceFile& file : repo.files) {
+        if (file.top != "src" || &file == table) continue;
+        for (auto it = std::sregex_iterator(file.code.begin(), file.code.end(),
+                                            use);
+             it != std::sregex_iterator(); ++it) {
+            named.insert((*it)[1].str());
+        }
+    }
+    static const std::regex constant(R"(\bconstexpr\b.*\b(k[A-Z]\w*)\s*=)");
+    for (std::size_t i = 0; i < table->code_lines.size(); ++i) {
+        std::smatch match;
+        if (!std::regex_search(table->code_lines[i], match, constant)) continue;
+        if (named.count(match[1].str()) != 0) continue;
+        out.push_back({table->rel, i + 1, "metric-name-unused",
+                       "metric name `" + match[1].str() +
+                           "` is named by no other file under src/ — "
+                           "delete it or register the metric"});
     }
 }
 
@@ -244,6 +275,8 @@ std::vector<Finding> run_rules_pass(const Repo& repo) {
                                 "but lacks the lint:wire-decode marker"});
         }
     }
+
+    check_metric_names_used(repo, findings);
 
     // Rule 5: every src/ wire decoder must be named by a fuzz harness.
     for (const DecoderSite& decoder : decoders) {

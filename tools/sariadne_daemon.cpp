@@ -16,7 +16,7 @@
 //     --universe N      ontologies in the synthetic universe (default 6)
 //     --classes N       classes per ontology (default 24)
 //     --seed S          universe generation seed (default 20060426);
-//                       loadgen must use the same universe flags so its
+//                       a client must use the same universe flags so its
 //                       requests resolve against the daemon's ontologies
 //     --drain-ms D      shutdown write-flush grace (default 500)
 //
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
 
         // The daemon's semantic universe mirrors the CLI's --simulate
         // scenario: a deterministic ontology set both sides can
-        // regenerate from the seed, so a loadgen with matching flags
+        // regenerate from the seed, so a client with matching flags
         // produces documents the directory resolves.
         workload::OntologyGenConfig onto_config;
         onto_config.class_count = classes;
