@@ -43,7 +43,7 @@
 //                 the reply leaves in the step that computed it.
 //   Backpressure— send paths never block the reactor. The simulator's
 //                 queue is unbounded (virtual time is free); the socket
-//                 transport bounds each connection's write queue and
+//                 transport bounds each connection's send buffer and
 //                 sheds frames (counted under transport.* metrics) when a
 //                 peer stops draining.
 #pragma once

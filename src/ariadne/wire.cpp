@@ -13,7 +13,7 @@ namespace {
 
 // --- encoding --------------------------------------------------------------
 
-/// The two sinks of the one writer: encode() appends the bytes, and
+/// The two sinks of the one writer: encode_append() appends the bytes, and
 /// encoded_size() only counts them, so a size can never disagree with the
 /// bytes it stands for.
 struct ByteSink {
@@ -296,9 +296,14 @@ ErrorInfo parse_error(std::string message) {
 
 std::vector<std::uint8_t> encode(const WireMessage& message) {
     std::vector<std::uint8_t> out;
+    encode_append(message, out);
+    return out;
+}
+
+void encode_append(const WireMessage& message,
+                   std::vector<std::uint8_t>& out) {
     ByteSink sink{out};
     Writer<ByteSink>(sink).message(message);
-    return out;
 }
 
 std::size_t encoded_size(const WireMessage& message) {

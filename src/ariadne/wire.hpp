@@ -230,6 +230,11 @@ struct WireMessage {
 /// (SARIADNE_EXPECTS enforces it).
 std::vector<std::uint8_t> encode(const WireMessage& message);
 
+/// Appends the bytes of encode(message) to `out`, leaving its existing
+/// bytes as they are: the socket transport encodes each frame in place at
+/// the end of a connection's send buffer.
+void encode_append(const WireMessage& message, std::vector<std::uint8_t>& out);
+
 /// The size of encode(message) in bytes, from a counting pass of the same
 /// writer, without building the bytes.
 std::size_t encoded_size(const WireMessage& message);

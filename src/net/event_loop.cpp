@@ -124,6 +124,7 @@ EventLoopTransport::Metrics::Metrics(obs::MetricsRegistry& target)
       connections_active(
           &target.gauge(obs::names::kTransportConnectionsActive)),
       frames_sent(&target.counter(obs::names::kTransportFramesSent)),
+      send_calls(&target.counter(obs::names::kTransportSendCalls)),
       frames_received(&target.counter(obs::names::kTransportFramesReceived)),
       bytes_sent(&target.counter(obs::names::kTransportBytesSent)),
       bytes_received(&target.counter(obs::names::kTransportBytesReceived)),
@@ -147,17 +148,6 @@ void EventLoopTransport::schedule(SimTime delay_ms,
                                   std::function<void()> action) {
     timers_.push(Timer{now() + (delay_ms > 0 ? delay_ms : 0),
                        next_timer_seq_++, std::move(action)});
-}
-
-void EventLoopTransport::post(std::function<void()> fn) {
-    {
-        std::lock_guard<support::RankedMutex> guard(post_mutex_);
-        posted_.push_back(std::move(fn));
-    }
-    // Wake the reactor; a full pipe already guarantees a pending wake.
-    const char byte = 'p';
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_pipe_[1], &byte, 1);
 }
 
 void EventLoopTransport::request_stop() {
@@ -193,32 +183,38 @@ std::size_t EventLoopTransport::degree(NodeId node) const {
 bool EventLoopTransport::idle() const {
     if (!timers_.empty() || !local_.empty()) return false;
     for (const Connection& conn : conns_) {
-        if (conn.live() && !conn.write_queue.empty()) return false;
+        if (conn.live() && !conn.write_buf.empty()) return false;
     }
-    std::lock_guard<support::RankedMutex> guard(
-        const_cast<support::RankedMutex&>(post_mutex_));
-    return posted_.empty();
+    return true;
 }
 
 // --- send path -------------------------------------------------------------
 
-void EventLoopTransport::enqueue_frame(NodeId to, const Message& msg) {
-    Connection& conn = conns_[to];
-    const std::vector<std::uint8_t> body = ariadne::wire::encode(msg.body);
-    if (body.size() > config_.max_frame_bytes) {
+bool EventLoopTransport::encode_frame(const Message& msg,
+                                      std::vector<std::uint8_t>& out) {
+    const std::size_t start = out.size();
+    out.resize(start + kFramePrefixBytes);
+    ariadne::wire::encode_append(msg.body, out);
+    const std::size_t body = out.size() - start - kFramePrefixBytes;
+    if (body > config_.max_frame_bytes) {
+        out.resize(start);
         metrics_.oversized_frames->inc();
-        return;
+        return false;
     }
-    if (conn.queued_bytes + body.size() > config_.write_queue_limit_bytes) {
+    write_le32(out.data() + start, static_cast<std::uint32_t>(body));
+    return true;
+}
+
+void EventLoopTransport::admit_frame(Connection& conn,
+                                     std::size_t frame_start) {
+    // The whole frame counts against the watermark, prefix included.
+    if (conn.write_buf.size() > config_.write_queue_limit_bytes) {
+        conn.write_buf.resize(frame_start);
         metrics_.backpressure_drops->inc();
         return;
     }
-    std::vector<std::uint8_t> frame(kFramePrefixBytes + body.size());
-    write_le32(frame.data(), static_cast<std::uint32_t>(body.size()));
-    std::memcpy(frame.data() + kFramePrefixBytes, body.data(), body.size());
-    conn.queued_bytes += frame.size();
-    metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame.size()));
-    conn.write_queue.push_back(std::move(frame));
+    metrics_.write_queue_bytes->add(
+        static_cast<std::int64_t>(conn.write_buf.size() - frame_start));
     metrics_.frames_sent->inc();
 }
 
@@ -232,7 +228,9 @@ void EventLoopTransport::unicast(NodeId from, NodeId to, Message msg) {
         return;
     }
     if (!is_up(to)) return;  // the peer hung up
-    enqueue_frame(to, msg);
+    Connection& conn = conns_[to];
+    const std::size_t start = conn.write_buf.size();
+    if (encode_frame(msg, conn.write_buf)) admit_frame(conn, start);
 }
 
 void EventLoopTransport::broadcast(NodeId from, std::uint32_t ttl_hops,
@@ -245,33 +243,36 @@ void EventLoopTransport::broadcast(NodeId from, std::uint32_t ttl_hops,
         local_.push_back(std::move(msg));
         return;
     }
+    std::vector<std::uint8_t> frame;
+    if (!encode_frame(msg, frame)) return;
     for (NodeId slot = 1; slot < conns_.size(); ++slot) {
-        if (conns_[slot].live()) enqueue_frame(slot, msg);
+        Connection& conn = conns_[slot];
+        if (!conn.live()) continue;
+        const std::size_t start = conn.write_buf.size();
+        conn.write_buf.insert(conn.write_buf.end(), frame.begin(),
+                              frame.end());
+        admit_frame(conn, start);
     }
 }
 
 void EventLoopTransport::flush_writes(NodeId slot) {
     Connection& conn = conns_[slot];
-    while (!conn.write_queue.empty()) {
-        const std::vector<std::uint8_t>& front = conn.write_queue.front();
-        const std::size_t remaining = front.size() - conn.write_off;
-        const ssize_t sent =
-            ::send(conn.fd, front.data() + conn.write_off, remaining,
-                   MSG_NOSIGNAL);
-        if (sent < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-            if (errno == EINTR) continue;
-            close_connection(slot);
-            return;
-        }
-        metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
-        conn.queued_bytes -= static_cast<std::size_t>(sent);
-        metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
-        conn.write_off += static_cast<std::size_t>(sent);
-        if (conn.write_off < front.size()) return;  // short write
-        conn.write_off = 0;
-        conn.write_queue.pop_front();
+    ssize_t sent;
+    do {
+        sent = ::send(conn.fd, conn.write_buf.data(), conn.write_buf.size(),
+                      MSG_NOSIGNAL);
+    } while (sent < 0 && errno == EINTR);
+    if (sent < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) close_connection(slot);
+        return;
     }
+    metrics_.send_calls->inc();
+    metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
+    metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
+    // Compact the sent prefix; a short write leaves the rest at the front
+    // for the next step's send.
+    conn.write_buf.erase(conn.write_buf.begin(),
+                         conn.write_buf.begin() + sent);
 }
 
 // --- receive path ----------------------------------------------------------
@@ -376,9 +377,7 @@ void EventLoopTransport::accept_ready() {
         conn.fd = fd;
         conn.read_pos = 0;
         conn.read_end = 0;
-        conn.write_queue.clear();
-        conn.write_off = 0;
-        conn.queued_bytes = 0;
+        conn.write_buf.clear();
         ++live_count_;
         metrics_.connections_accepted->inc();
         metrics_.connections_active->set(
@@ -392,12 +391,10 @@ void EventLoopTransport::close_connection(NodeId slot) {
     ::close(conn.fd);
     conn.fd = -1;
     metrics_.write_queue_bytes->sub(
-        static_cast<std::int64_t>(conn.queued_bytes));
+        static_cast<std::int64_t>(conn.write_buf.size()));
     conn.read_pos = 0;
     conn.read_end = 0;
-    conn.write_queue.clear();
-    conn.write_off = 0;
-    conn.queued_bytes = 0;
+    conn.write_buf.clear();
     --live_count_;
     metrics_.connections_closed->inc();
     metrics_.connections_active->set(static_cast<std::int64_t>(live_count_));
@@ -416,15 +413,6 @@ void EventLoopTransport::run_expired_timers() {
     }
 }
 
-void EventLoopTransport::drain_posted() {
-    std::vector<std::function<void()>> batch;
-    {
-        std::lock_guard<support::RankedMutex> guard(post_mutex_);
-        batch.swap(posted_);
-    }
-    for (auto& fn : batch) fn();
-}
-
 void EventLoopTransport::drain_local() {
     while (!local_.empty()) {
         std::vector<Message> batch;
@@ -441,7 +429,6 @@ SimTime EventLoopTransport::next_timer_due() const {
 
 void EventLoopTransport::step(SimTime max_wait_ms) {
     run_expired_timers();
-    drain_posted();
     drain_local();
 
     SimTime wait_ms = max_wait_ms;
@@ -462,7 +449,7 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
         Connection& conn = conns_[slot];
         if (!conn.live()) continue;
         short events = POLLIN;
-        if (!conn.write_queue.empty()) events |= POLLOUT;
+        if (!conn.write_buf.empty()) events |= POLLOUT;
         fds.push_back(pollfd{conn.fd, events, 0});
         fd_slots.push_back(slot);
     }
@@ -503,16 +490,16 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
             continue;
         }
         if (revents & POLLIN) read_ready(slot);
-        if (conns_[slot].live() && (revents & POLLOUT)) flush_writes(slot);
     }
 
     run_expired_timers();
     drain_local();
 
-    // Opportunistic flush: frames enqueued while handling this iteration's
-    // deliveries/timers go out now instead of waiting for the next POLLOUT.
+    // One send per connection carries everything this step framed for it,
+    // together with whatever an earlier short write left; a connection that
+    // polled POLLOUT is served here too.
     for (NodeId slot = 1; slot < conns_.size(); ++slot) {
-        if (conns_[slot].live() && !conns_[slot].write_queue.empty()) {
+        if (conns_[slot].live() && !conns_[slot].write_buf.empty()) {
             flush_writes(slot);
         }
     }
@@ -543,7 +530,7 @@ void EventLoopTransport::run_until_stopped(double drain_grace_ms) {
     while (now() < drain_deadline) {
         bool pending = false;
         for (const Connection& conn : conns_) {
-            if (conn.live() && !conn.write_queue.empty()) pending = true;
+            if (conn.live() && !conn.write_buf.empty()) pending = true;
         }
         if (!pending) break;
         step(drain_deadline - now());

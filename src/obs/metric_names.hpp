@@ -169,6 +169,10 @@ inline constexpr std::string_view kTransportConnectionsRejected =
     "transport.connections_rejected";
 inline constexpr std::string_view kTransportFramesSent =
     "transport.frames_sent";
+/// One per successful send(2); frames_sent / send_calls is how many
+/// frames each syscall carries.
+inline constexpr std::string_view kTransportSendCalls =
+    "transport.send_calls";
 inline constexpr std::string_view kTransportFramesReceived =
     "transport.frames_received";
 inline constexpr std::string_view kTransportBytesSent =

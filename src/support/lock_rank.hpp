@@ -16,7 +16,6 @@
 //   kKnowledgeBaseTables  KnowledgeBase::tables_mutex_
 //   kTaxonomyCache        TaxonomyCache::mutex_
 //   kMetricsRegistry      obs::MetricsRegistry::mutex_
-//   kTransportQueue       net::EventLoopTransport::post_mutex_
 //
 // The two real multi-lock paths this encodes:
 //   * a SemanticDirectory summary rebuild holds summary before services;
@@ -24,9 +23,6 @@
 //     table (KnowledgeBase reader lock), whose first build classifies
 //     under the TaxonomyCache mutex.
 // Same-rank nesting is forbidden (DagIndex locks shards one at a time).
-// kTransportQueue is the innermost leaf: the event loop's cross-thread
-// post queue is locked only to swap the pending vector, never while
-// calling out into protocol or registry code.
 //
 // Checking is enabled when SARIADNE_LOCKRANK_CHECKS is defined non-zero
 // (the SARIADNE_LOCKRANK CMake option) or, by default, in builds without
@@ -63,7 +59,6 @@ enum class LockRank : std::uint8_t {
     kKnowledgeBaseTables = 50,
     kTaxonomyCache = 60,
     kMetricsRegistry = 70,
-    kTransportQueue = 80,
 };
 
 constexpr std::string_view to_string(LockRank rank) noexcept {
@@ -74,7 +69,6 @@ constexpr std::string_view to_string(LockRank rank) noexcept {
         case LockRank::kKnowledgeBaseTables: return "knowledge-base-tables";
         case LockRank::kTaxonomyCache: return "taxonomy-cache";
         case LockRank::kMetricsRegistry: return "metrics-registry";
-        case LockRank::kTransportQueue: return "transport-queue";
     }
     return "unknown-rank";
 }

@@ -331,8 +331,8 @@ std::string prev_word(const std::string& s, std::size_t i) {
 }
 
 /// Trailing identifier of a mutex argument expression:
-/// `shards_[s].mutex` -> "mutex"; `const_cast<M&>(post_mutex_)` ->
-/// "post_mutex_"; `*ptr` -> "ptr".
+/// `shards_[s].mutex` -> "mutex"; `const_cast<M&>(mutex_)` ->
+/// "mutex_"; `*ptr` -> "ptr".
 std::string mutex_arg_name(std::string arg) {
     const auto first = arg.find_first_not_of(" \t\n");
     if (first == std::string::npos) return {};

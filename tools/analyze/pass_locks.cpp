@@ -22,7 +22,6 @@ const std::vector<std::pair<std::string, int>>& static_lock_ranks() {
         {"kDirectorySummary", 20},    {"kDirectoryServices", 30},
         {"kDagShard", 40},            {"kKnowledgeBaseTables", 50},
         {"kTaxonomyCache", 60},       {"kMetricsRegistry", 70},
-        {"kTransportQueue", 80},
     };
     return kRanks;
 }

@@ -21,11 +21,11 @@
 //     --drain-ms D      shutdown write-flush grace (default 500)
 //
 // Shutdown: SIGTERM or SIGINT triggers the transport's drain — the
-// listener closes, pending write queues flush for at most --drain-ms,
+// listener closes, pending send buffers flush for at most --drain-ms,
 // connections close, and the process exits 0 after printing its
-// transport.* frame and byte counters. The signal handler only write(2)s
-// one byte to the transport's stop fd (async-signal-safe); all real work
-// happens on the loop thread.
+// transport.* frame, send-call and byte counters. The signal handler only
+// write(2)s one byte to the transport's stop fd (async-signal-safe); all
+// real work happens on the loop thread.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -258,9 +258,11 @@ int main(int argc, char** argv) {
         };
         std::printf(
             "sariadne_daemon: stopped; %llu frames received, %llu frames "
-            "sent, %llu bytes received, %llu bytes sent\n",
+            "sent in %llu send calls, %llu bytes received, %llu bytes "
+            "sent\n",
             count(obs::names::kTransportFramesReceived),
             count(obs::names::kTransportFramesSent),
+            count(obs::names::kTransportSendCalls),
             count(obs::names::kTransportBytesReceived),
             count(obs::names::kTransportBytesSent));
         return 0;
